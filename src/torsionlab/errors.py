@@ -126,10 +126,6 @@ class NotOrientationPreserving(TorsionlabError):
     """Matrix has non-positive determinant."""
 
 
-class NoSamples(TorsionlabError):
-    """Every annular window produced an empty orbit-sample set."""
-
-
 class UnknownFixture(TorsionlabError):
     """Requested fixture name is not in the catalog."""
 

@@ -8,8 +8,11 @@ exact up to rounding (no symbolic rewriting, no finite differences).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Mapping, Sequence
+
+import numpy as np
 
 from .errors import DomainError, ExprSyntaxError, UnknownIdentifier
 
@@ -84,7 +87,11 @@ Expr = object  # union of the node classes above (Compare only inside Select)
 # --- second-order jets -----------------------------------------------------
 
 class Jet2:
-    """Value, gradient and symmetric Hessian of a function of (x, y)."""
+    """Value, gradient and symmetric Hessian of a function of (x, y).
+
+    Fields are floats or numpy arrays; the arithmetic is elementwise.
+    Treat jets as immutable: compiled expressions share their constants.
+    """
 
     __slots__ = ("f", "fx", "fy", "fxx", "fxy", "fyy")
 
@@ -95,18 +102,6 @@ class Jet2:
         self.fxx = fxx
         self.fxy = fxy
         self.fyy = fyy
-
-    @property
-    def value(self) -> float:
-        return self.f
-
-    @property
-    def grad(self) -> tuple:
-        return (self.fx, self.fy)
-
-    @property
-    def hess(self) -> tuple:
-        return ((self.fxx, self.fxy), (self.fxy, self.fyy))
 
     def __repr__(self):
         return (f"Jet2({self.f!r}, grad=({self.fx!r}, {self.fy!r}), "
@@ -143,10 +138,6 @@ class Jet2:
             g1 * self.fxy + g2 * self.fx * self.fy,
             g1 * self.fyy + g2 * self.fy * self.fy,
         )
-
-
-def const_jet(c: float) -> Jet2:
-    return Jet2(float(c))
 
 
 # --- tokenizer -------------------------------------------------------------
@@ -432,163 +423,373 @@ def _collect_names(node, out):
 
 
 # --- evaluation ------------------------------------------------------------
+#
+# Each tree is compiled once into closures, kept on the root node (trees are
+# immutable, so a closure never goes stale).  Jet closures are
+# fn(x, y, live) -> Jet2 and come in two builds from one compiler: over
+# floats with math, and over broadcastable arrays with numpy.  Both perform
+# the same IEEE operations in the same order, so every array lane carries
+# the bits of the scalar evaluation at its point.  In the array build,
+# ``live`` masks the lanes that the scalar evaluation of each point reaches
+# (None: all of them); where a live lane's scalar evaluation would raise,
+# the closure raises _Lane and eval_jet2 replays the points in row-major
+# order through the scalar build, which raises the error of the first
+# offending point.  Value closures are fn(env) -> float over any variables.
+
+_COMPARE = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
+            ">=": operator.ge, "==": operator.eq, "!=": operator.ne}
+
+
+class _Lane(Exception):
+    """A live array lane would raise in the scalar evaluation."""
+
 
 def _domain(node, point, reason):
     raise DomainError(f"{reason} in '{to_text(node)}' at {point}")
 
 
-def eval_jet2(node, x: float, y: float) -> Jet2:
-    """Evaluate with exact value, gradient and Hessian at (x, y)."""
-    return _jet(node, float(x), float(y))
+def _compiled(node, kind: str):
+    try:
+        return node.__dict__[kind]
+    except KeyError:
+        fn = _compile_value(node) if kind == "_value" else \
+            _compile_jet(node, kind == "_array")
+        node.__dict__[kind] = fn  # frozen only guards attribute assignment
+        return fn
 
 
-def _jet(node, x, y):
+def eval_jet2(node, x, y) -> Jet2:
+    """Exact value, gradient and Hessian at (x, y).
+
+    x and y are floats or broadcastable arrays.  Array fields hold the
+    scalar results of each point bit for bit (a field may stay a scalar
+    when it does not depend on the point), and a point whose evaluation
+    fails raises the scalar error of the first such point in row-major
+    order.
+    """
+    if isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
+        return _eval_jet2_array(node, np.asarray(x, float),
+                                np.asarray(y, float))
+    return _compiled(node, "_jet")(float(x), float(y), None)
+
+
+def _eval_jet2_array(node, x, y):
+    with np.errstate(all="ignore"):
+        try:
+            return _compiled(node, "_array")(x, y, None)
+        except _Lane:
+            pass
+    scalar = _compiled(node, "_jet")
+    for xi, yi in zip(*(a.ravel().tolist() for a in np.broadcast_arrays(x, y))):
+        scalar(xi, yi, None)
+    raise RuntimeError(f"array jet of '{to_text(node)}' flagged a lane that"
+                       " evaluates cleanly")
+
+
+def _flag(bad, live):
+    """Raise _Lane when ``bad`` holds on a live lane."""
+    if np.any(bad if live is None else bad & live):
+        raise _Lane
+
+
+def _restrict(live, mask):
+    return mask if live is None else live & mask
+
+
+def _where(mask, a: Jet2, b: Jet2) -> Jet2:
+    return Jet2(*(np.where(mask, p, q) for p, q in
+                  ((a.f, b.f), (a.fx, b.fx), (a.fy, b.fy),
+                   (a.fxx, b.fxx), (a.fxy, b.fxy), (a.fyy, b.fyy))))
+
+
+def _libm(fn, v, live):
+    """``fn`` from math applied lane by lane: numpy's own exp and log
+    kernels may differ from libm in the last place."""
+    v = np.asarray(v if live is None else np.where(live, v, 1.0))
+    try:
+        out = np.fromiter(map(fn, v.ravel().tolist()), float, v.size)
+    except (OverflowError, ValueError):
+        raise _Lane from None
+    return out.reshape(v.shape)
+
+
+def _compile_jet(node, array: bool):
+    """Jet closure of ``node``: over arrays with numpy if ``array``, else
+    over floats with math."""
+    # array constants are numpy floats: arithmetic on a dead lane must not
+    # raise as Python float division would
+    num = np.float64 if array else float
     if isinstance(node, Num):
-        return const_jet(node.value)
+        c = Jet2(num(node.value))
+        return lambda x, y, live: c
     if isinstance(node, Name):
         if node.name == "x":
-            return Jet2(x, 1.0, 0.0)
+            return lambda x, y, live: Jet2(x, 1.0, 0.0)
         if node.name == "y":
-            return Jet2(y, 0.0, 1.0)
+            return lambda x, y, live: Jet2(y, 0.0, 1.0)
         if node.name == "pi":
-            return const_jet(math.pi)
-        raise DomainError(f"variable '{node.name}' has no jet value")
+            c = Jet2(num(math.pi))
+            return lambda x, y, live: c
+
+        def unbound(x, y, live):
+            if array:
+                _flag(True, live)
+                return Jet2(num(math.nan))
+            raise DomainError(f"variable '{node.name}' has no jet value")
+        return unbound
     if isinstance(node, Neg):
-        return -_jet(node.arg, x, y)
+        fa = _compile_jet(node.arg, array)
+        return lambda x, y, live: -fa(x, y, live)
     if isinstance(node, BinOp):
-        a = _jet(node.left, x, y)
-        b = _jet(node.right, x, y)
-        if node.op == "+":
-            return a + b
-        if node.op == "-":
-            return a - b
-        if node.op == "*":
-            return a * b
-        if b.f == 0.0:
-            _domain(node, (x, y), "division by zero")
-        inv = b.chain(1.0 / b.f, -1.0 / (b.f * b.f), 2.0 / (b.f ** 3))
-        return a * inv
+        return _compile_binop(node, array)
     if isinstance(node, Pow):
-        u = _jet(node.base, x, y)
-        n = node.exponent
-        if n == 0:
-            return const_jet(1.0)
-        if n == 1:
-            return u
-        g1 = n * u.f ** (n - 1)
-        g2 = n * (n - 1) * u.f ** (n - 2) if n >= 2 else 0.0
-        return u.chain(u.f ** n, g1, g2)
+        return _compile_pow(node, array)
     if isinstance(node, Call):
-        return _jet_call(node, x, y)
+        return _compile_call(node, array)
     if isinstance(node, Select):
-        take_then = _cond(node.cond, x, y)
-        return _jet(node.then if take_then else node.other, x, y)
+        return _compile_select(node, array)
     raise TypeError(f"cannot evaluate node {node!r}")
 
 
-def _jet_call(node, x, y):
+def _compile_binop(node, array):
+    fa = _compile_jet(node.left, array)
+    fb = _compile_jet(node.right, array)
+    if node.op == "+":
+        return lambda x, y, live: fa(x, y, live) + fb(x, y, live)
+    if node.op == "-":
+        return lambda x, y, live: fa(x, y, live) - fb(x, y, live)
+    if node.op == "*":
+        return lambda x, y, live: fa(x, y, live) * fb(x, y, live)
+
+    def divide(x, y, live):
+        a = fa(x, y, live)
+        b = fb(x, y, live)
+        v = b.f
+        if array:
+            v2, v3 = v * v, np.float_power(v, 3.0)
+            # scalar: DomainError, then ZeroDivisionError or OverflowError
+            _flag((v == 0.0) | (v2 == 0.0) | (v3 == 0.0)
+                  | (np.isinf(v3) & np.isfinite(v)), live)
+            return a * b.chain(1.0 / v, -1.0 / v2, 2.0 / v3)
+        if v == 0.0:
+            _domain(node, (x, y), "division by zero")
+        return a * b.chain(1.0 / v, -1.0 / (v * v), 2.0 / (v ** 3))
+    return divide
+
+
+def _compile_pow(node, array):
+    fu = _compile_jet(node.base, array)
+    n = node.exponent
+    if n == 0:
+        one = Jet2(np.float64(1.0) if array else 1.0)
+
+        def power(x, y, live):
+            fu(x, y, live)  # the base's domain errors still apply
+            return one
+        return power
+    if n == 1:
+        return fu
+
+    def power(x, y, live):
+        u = fu(x, y, live)
+        v = u.f
+        if array:
+            # float_power calls libm's pow, as float ** int does; numpy's
+            # power has its own kernels
+            vn = np.float_power(v, float(n))
+            _flag(np.isinf(vn) & np.isfinite(v), live)  # float ** overflows
+            return u.chain(vn, n * np.float_power(v, n - 1.0),
+                           n * (n - 1) * np.float_power(v, n - 2.0))
+        g1 = n * v ** (n - 1)
+        g2 = n * (n - 1) * v ** (n - 2)
+        return u.chain(v ** n, g1, g2)
+    return power
+
+
+def _compile_call(node, array):
     name = node.func
     if name in ("min", "max"):
-        a = _jet(node.args[0], x, y)
-        b = _jet(node.args[1], x, y)
+        fa = _compile_jet(node.args[0], array)
+        fb = _compile_jet(node.args[1], array)
         # on a tie the first argument wins (documented branch convention)
-        if name == "min":
-            return a if a.f <= b.f else b
-        return a if a.f >= b.f else b
-    u = _jet(node.args[0], x, y)
-    v = u.f
-    if name == "sin":
-        return u.chain(math.sin(v), math.cos(v), -math.sin(v))
-    if name == "cos":
-        return u.chain(math.cos(v), -math.sin(v), -math.cos(v))
+        first = operator.le if name == "min" else operator.ge
+
+        def pick(x, y, live):
+            a = fa(x, y, live)
+            b = fb(x, y, live)
+            if array:
+                return _where(first(a.f, b.f), a, b)
+            return a if first(a.f, b.f) else b
+        return pick
+    fu = _compile_jet(node.args[0], array)
+
+    if name in ("sin", "cos"):
+        lib = np if array else math
+        f, g = (lib.sin, lib.cos) if name == "sin" else (lib.cos, lib.sin)
+        negate = name == "cos"  # cos' = -sin
+
+        def trig(x, y, live):
+            u = fu(x, y, live)
+            v = u.f
+            if array:
+                _flag(np.isinf(v), live)  # math raises on inf
+            s = f(v)
+            return u.chain(s, -g(v) if negate else g(v), -s)
+        return trig
     if name == "exp":
-        e = math.exp(v)
-        return u.chain(e, e, e)
+        def exp(x, y, live):
+            u = fu(x, y, live)
+            e = _libm(math.exp, u.f, live) if array else math.exp(u.f)
+            return u.chain(e, e, e)
+        return exp
     if name == "log":
-        if v <= 0.0:
-            _domain(node, (x, y), f"log of non-positive value {v!r}")
-        return u.chain(math.log(v), 1.0 / v, -1.0 / (v * v))
+        def log(x, y, live):
+            u = fu(x, y, live)
+            v = u.f
+            if array:
+                v2 = v * v
+                _flag((v <= 0.0) | (v2 == 0.0), live)
+                return u.chain(_libm(math.log, v, live), 1.0 / v, -1.0 / v2)
+            if v <= 0.0:
+                _domain(node, (x, y), f"log of non-positive value {v!r}")
+            return u.chain(math.log(v), 1.0 / v, -1.0 / (v * v))
+        return log
     if name == "sqrt":
-        if v < 0.0:
-            _domain(node, (x, y), f"sqrt of negative value {v!r}")
-        if v == 0.0:
-            _domain(node, (x, y), "sqrt not differentiable at 0")
-        s = math.sqrt(v)
-        return u.chain(s, 0.5 / s, -0.25 / (s * v))
+        def sqrt(x, y, live):
+            u = fu(x, y, live)
+            v = u.f
+            if array:
+                s = np.sqrt(v)
+                _flag((v <= 0.0) | (s * v == 0.0), live)
+                return u.chain(s, 0.5 / s, -0.25 / (s * v))
+            if v < 0.0:
+                _domain(node, (x, y), f"sqrt of negative value {v!r}")
+            if v == 0.0:
+                _domain(node, (x, y), "sqrt not differentiable at 0")
+            s = math.sqrt(v)
+            return u.chain(s, 0.5 / s, -0.25 / (s * v))
+        return sqrt
     if name == "abs":
-        # sign taken as +1 at 0 (first-branch convention, as for select)
-        sgn = -1.0 if v < 0.0 else 1.0
-        return u.chain(abs(v), sgn, 0.0)
+        def absolute(x, y, live):
+            u = fu(x, y, live)
+            v = u.f
+            # sign taken as +1 at 0 (first-branch convention, as for select)
+            if array:
+                return u.chain(np.abs(v), np.where(v < 0.0, -1.0, 1.0), 0.0)
+            return u.chain(abs(v), -1.0 if v < 0.0 else 1.0, 0.0)
+        return absolute
     raise DomainError(f"unknown function '{name}'")
 
 
-def _cond(cond: Compare, x, y) -> bool:
-    lhs = _jet(cond.left, x, y).f
-    rhs = _jet(cond.right, x, y).f
-    if lhs == rhs:
-        return True  # exact branch boundary: first branch wins
-    return {
-        "<": lhs < rhs,
-        "<=": lhs <= rhs,
-        ">": lhs > rhs,
-        ">=": lhs >= rhs,
-        "==": lhs == rhs,
-        "!=": lhs != rhs,
-    }[cond.op]
+def _compile_select(node, array):
+    fl = _compile_jet(node.cond.left, array)
+    fr = _compile_jet(node.cond.right, array)
+    ft = _compile_jet(node.then, array)
+    fo = _compile_jet(node.other, array)
+    op = _COMPARE[node.cond.op]
+
+    def select(x, y, live):
+        lhs = fl(x, y, live).f
+        rhs = fr(x, y, live).f
+        if array:
+            # exact branch boundary: first branch wins
+            take = np.asarray((lhs == rhs) | op(lhs, rhs))
+            return _where(take, ft(x, y, _restrict(live, take)),
+                          fo(x, y, _restrict(live, ~take)))
+        return (ft if lhs == rhs or op(lhs, rhs) else fo)(x, y, live)
+    return select
 
 
 def eval_value(node, env: Mapping[str, float]) -> float:
     """Plain numeric evaluation with an arbitrary variable environment."""
+    return _compiled(node, "_value")(env)
+
+
+def _compile_value(node):
     if isinstance(node, Num):
-        return node.value
+        c = node.value
+        return lambda env: c
     if isinstance(node, Name):
         if node.name == "pi":
-            return math.pi
-        try:
-            return float(env[node.name])
-        except KeyError:
-            raise DomainError(f"variable '{node.name}' not bound")
+            return lambda env: math.pi
+        name = node.name
+
+        def lookup(env):
+            try:
+                return float(env[name])
+            except KeyError:
+                raise DomainError(f"variable '{name}' not bound")
+        return lookup
     if isinstance(node, Neg):
-        return -eval_value(node.arg, env)
+        fa = _compile_value(node.arg)
+        return lambda env: -fa(env)
     if isinstance(node, BinOp):
-        a = eval_value(node.left, env)
-        b = eval_value(node.right, env)
+        fa = _compile_value(node.left)
+        fb = _compile_value(node.right)
         if node.op == "+":
-            return a + b
+            return lambda env: fa(env) + fb(env)
         if node.op == "-":
-            return a - b
+            return lambda env: fa(env) - fb(env)
         if node.op == "*":
-            return a * b
-        if b == 0.0:
-            _domain(node, dict(env), "division by zero")
-        return a / b
+            return lambda env: fa(env) * fb(env)
+
+        def divide(env):
+            a = fa(env)
+            b = fb(env)
+            if b == 0.0:
+                _domain(node, dict(env), "division by zero")
+            return a / b
+        return divide
     if isinstance(node, Pow):
-        return eval_value(node.base, env) ** node.exponent
+        fa = _compile_value(node.base)
+        n = node.exponent
+        return lambda env: fa(env) ** n
     if isinstance(node, Call):
-        name = node.func
-        args = [eval_value(a, env) for a in node.args]
-        if name == "min":
-            return args[0] if args[0] <= args[1] else args[1]
-        if name == "max":
-            return args[0] if args[0] >= args[1] else args[1]
-        v = args[0]
-        if name == "log" and v <= 0.0:
-            _domain(node, dict(env), f"log of non-positive value {v!r}")
-        if name == "sqrt" and v < 0.0:
-            _domain(node, dict(env), f"sqrt of negative value {v!r}")
-        return getattr(math, name)(v) if name != "abs" else abs(v)
+        return _compile_value_call(node)
     if isinstance(node, Select):
-        lhs = eval_value(node.cond.left, env)
-        rhs = eval_value(node.cond.right, env)
-        if lhs == rhs:
-            take = True
-        else:
-            take = {
-                "<": lhs < rhs, "<=": lhs <= rhs, ">": lhs > rhs,
-                ">=": lhs >= rhs, "==": lhs == rhs, "!=": lhs != rhs,
-            }[node.cond.op]
-        return eval_value(node.then if take else node.other, env)
+        fl = _compile_value(node.cond.left)
+        fr = _compile_value(node.cond.right)
+        ft = _compile_value(node.then)
+        fo = _compile_value(node.other)
+        op = _COMPARE[node.cond.op]
+
+        def select(env):
+            lhs = fl(env)
+            rhs = fr(env)
+            return (ft if lhs == rhs or op(lhs, rhs) else fo)(env)
+        return select
     raise TypeError(f"cannot evaluate node {node!r}")
+
+
+def _compile_value_call(node):
+    args = [_compile_value(a) for a in node.args]
+    name = node.func
+    if name in ("min", "max"):
+        fa, fb = args
+        first = operator.le if name == "min" else operator.ge
+
+        def pick(env):
+            a = fa(env)
+            b = fb(env)
+            return a if first(a, b) else b
+        return pick
+    fa, = args
+    if name == "log":
+        def log(env):
+            v = fa(env)
+            if v <= 0.0:
+                _domain(node, dict(env), f"log of non-positive value {v!r}")
+            return math.log(v)
+        return log
+    if name == "sqrt":
+        def sqrt(env):
+            v = fa(env)
+            if v < 0.0:
+                _domain(node, dict(env), f"sqrt of negative value {v!r}")
+            return math.sqrt(v)
+        return sqrt
+    fn = abs if name == "abs" else getattr(math, name)
+    return lambda env: fn(fa(env))
 
 
 # --- scalar fields ---------------------------------------------------------
@@ -607,7 +808,8 @@ class ExprField:
             raise DomainError(
                 f"scalar field may only use x and y, found {sorted(extra)}")
 
-    def jet2(self, x: float, y: float) -> Jet2:
+    def jet2(self, x, y) -> Jet2:
+        """Jet at floats or broadcastable arrays (see eval_jet2)."""
         return eval_jet2(self.expr, x, y)
 
     def __repr__(self):

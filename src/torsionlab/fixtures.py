@@ -108,28 +108,61 @@ class Ex5Field:
         s, cum = self._value_table()
         return float(np.interp(y, s, cum))
 
-    def jet2(self, x: float, y: float) -> Jet2:
+    def jet2(self, x, y) -> Jet2:
+        """Jet at floats or broadcastable arrays.
+
+        Arrays get the scalar path's bits: each distinct coordinate goes
+        through the math-based terms once, and the terms combine elementwise
+        with the same operations.
+        """
+        if isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
+            x, y = np.asarray(x, float), np.asarray(y, float)
+            inside = ~((y <= 0.0) | (y >= 1.0))  # NaN falls inside, as below
+            jet = self._combine(_per_value(self._x_terms, x),
+                                _per_value(self._y_terms,
+                                           np.where(inside, y, 0.5)))
+            outside = (np.where(y <= 0.0, 0.0, self._ih(1.0)),
+                       0.0, 0.0, 0.0, 0.0, 0.0)
+            return Jet2(*(np.where(inside, a, b) for a, b in zip(
+                (jet.f, jet.fx, jet.fy, jet.fxx, jet.fxy, jet.fyy), outside)))
         if y <= 0.0:
             return Jet2(0.0)
         if y >= 1.0:
             return Jet2(self._ih(1.0))
-        sx = math.sin(math.pi * x)
-        s2x = math.sin(2.0 * math.pi * x)
-        c2x = math.cos(2.0 * math.pi * x)
+        return self._combine(self._x_terms(x), self._y_terms(y))
+
+    @staticmethod
+    def _x_terms(x: float) -> tuple:
+        return (math.sin(math.pi * x), math.sin(2.0 * math.pi * x),
+                math.cos(2.0 * math.pi * x))
+
+    def _y_terms(self, y: float) -> tuple:
         piy = math.pi / y
-        h = y * math.sin(piy) ** 2
-        hp = math.sin(piy) ** 2 - piy * math.sin(2.0 * piy)
-        p = phi5(y)
-        pp = phi5_prime(y)
-        big_phi = phi5_integral(y)
+        return (self._ih(y), y * math.sin(piy) ** 2,
+                math.sin(piy) ** 2 - piy * math.sin(2.0 * piy),
+                phi5(y), phi5_prime(y), phi5_integral(y))
+
+    @staticmethod
+    def _combine(x_terms, y_terms) -> Jet2:
+        sx, s2x, c2x = x_terms
+        ih, h, hp, p, pp, big_phi = y_terms
         return Jet2(
-            self._ih(y) + big_phi * sx * sx,
+            ih + big_phi * sx * sx,
             math.pi * s2x * big_phi,
             h + p * sx * sx,
             2.0 * math.pi ** 2 * c2x * big_phi,
             math.pi * p * s2x,
             hp + pp * sx * sx,
         )
+
+
+def _per_value(terms, a: np.ndarray) -> tuple:
+    """``terms`` (a float -> tuple function) over an array, called once per
+    distinct value."""
+    values, inverse = np.unique(a, return_inverse=True)
+    table = np.array([terms(v) for v in values.tolist()]).reshape(
+        len(values), -1)
+    return tuple(col[inverse].reshape(a.shape) for col in table.T)
 
 
 def ex5_north_model_field() -> Foliation:

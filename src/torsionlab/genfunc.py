@@ -25,6 +25,10 @@ MORSE_DEGENERATE = "Degenerate"
 
 DEGENERATE_DET_TOL = 1e-8
 
+# points per array call of a grid scan: large enough to amortise the
+# per-call cost, small enough to keep the temporaries in cache
+GRID_BLOCK = 4096
+
 
 class PolynomialField:
     """Bivariate polynomial scalar field with exact jets from coefficients.
@@ -37,7 +41,8 @@ class PolynomialField:
         if self.coeffs.ndim != 2:
             raise ValueError("coeffs must be a 2-D array")
 
-    def jet2(self, x: float, y: float) -> Jet2:
+    def jet2(self, x, y) -> Jet2:
+        """Jet at floats or broadcastable arrays (elementwise arithmetic)."""
         c = self.coeffs
         nx, ny = c.shape
         px = [1.0] * nx
@@ -52,17 +57,17 @@ class PolynomialField:
                 a = c[i, j]
                 if a == 0.0:
                     continue
-                f += a * px[i] * py[j]
+                f = f + a * px[i] * py[j]
                 if i >= 1:
-                    fx += a * i * px[i - 1] * py[j]
+                    fx = fx + a * i * px[i - 1] * py[j]
                 if j >= 1:
-                    fy += a * j * px[i] * py[j - 1]
+                    fy = fy + a * j * px[i] * py[j - 1]
                 if i >= 2:
-                    fxx += a * i * (i - 1) * px[i - 2] * py[j]
+                    fxx = fxx + a * i * (i - 1) * px[i - 2] * py[j]
                 if i >= 1 and j >= 1:
-                    fxy += a * i * j * px[i - 1] * py[j - 1]
+                    fxy = fxy + a * i * j * px[i - 1] * py[j - 1]
                 if j >= 2:
-                    fyy += a * j * (j - 1) * px[i] * py[j - 2]
+                    fyy = fyy + a * j * (j - 1) * px[i] * py[j - 2]
         return Jet2(f, fx, fy, fxx, fxy, fyy)
 
 
@@ -89,12 +94,14 @@ def verify_twist_bound(iso: GenIsotopy, region: Sequence[float],
     sampling region (unbounded second derivatives stay the caller's risk).
     """
     xmin, xmax, ymin, ymax = map(float, region)
+    steps = np.arange(grid)
+    xs = xmin + (xmax - xmin) * steps / (grid - 1)
+    ys = ymin + (ymax - ymin) * steps / (grid - 1)
     worst = -math.inf
-    for i in range(grid):
-        x = xmin + (xmax - xmin) * i / (grid - 1)
-        for j in range(grid):
-            y = ymin + (ymax - ymin) * j / (grid - 1)
-            worst = max(worst, iso.field.jet2(x, y).fxy)
+    for rows, jet in _grid_jets(iso.field, xs, ys):
+        fxy = np.broadcast_to(jet.fxy, (len(xs[rows]), grid))
+        # Python's max skips NaN samples and keeps the first of equal ones
+        worst = max(worst, *fxy.ravel().tolist())
     if worst > iso.twist_bound_c:
         raise TwistBoundViolation(
             f"sampled d12 g = {worst:.6g} exceeds declared bound "
@@ -102,15 +109,31 @@ def verify_twist_bound(iso: GenIsotopy, region: Sequence[float],
     return worst
 
 
+def _grid_jets(field, xs, ys):
+    """Jets on the grid xs x ys in row blocks of about GRID_BLOCK points.
+
+    Yields (slice of xs, jet) in row-major (x-outer) order, so the first
+    failing point raises as in a point-by-point scan.
+    """
+    step = max(1, GRID_BLOCK // len(ys))
+    for i in range(0, len(xs), step):
+        rows = slice(i, i + step)
+        yield rows, field.jet2(xs[rows, None], ys[None, :])
+
+
 def _solve_X(iso: GenIsotopy, t: float, x: float, y: float,
              history: list | None = None):
-    """Contraction X_{k+1} = x + t d2g(X_k, y); returns (X, jet at (X, y))."""
+    """Contraction X_{k+1} = x + t d2g(X_k, y); returns (X, jet at (X, y)).
+
+    The residual must reach solver_tol, or a few float spacings of X and x
+    where those exceed it (rounding alone keeps the residual there).
+    """
     X = x
     jet = iso.field.jet2(X, y)
     residual = abs(X - x - t * jet.fy)
     if history is not None:
         history.append(residual)
-    if residual <= iso.solver_tol:
+    if residual <= _solver_tol(iso, X, x):
         return X, jet
     for k in range(1, iso.solver_max_iter + 1):
         X = x + t * jet.fy
@@ -120,9 +143,13 @@ def _solve_X(iso: GenIsotopy, t: float, x: float, y: float,
             history.append(residual)
         if not math.isfinite(residual):
             raise SolverDiverged(k, residual)
-        if residual <= iso.solver_tol:
+        if residual <= _solver_tol(iso, X, x):
             return X, jet
     raise SolverDiverged(iso.solver_max_iter, residual)
+
+
+def _solver_tol(iso: GenIsotopy, X: float, x: float) -> float:
+    return max(iso.solver_tol, 8.0 * math.ulp(max(abs(X), abs(x))))
 
 
 def gf_apply(iso: GenIsotopy, t: float, z) -> tuple:
@@ -253,39 +280,37 @@ def find_critical_points(iso: GenIsotopy, region: Sequence[float],
     ys = np.linspace(ymin, ymax, grid_n + 1)
     gx = np.empty((grid_n + 1, grid_n + 1))
     gy = np.empty((grid_n + 1, grid_n + 1))
-    for i, x in enumerate(xs):
-        for j, y in enumerate(ys):
-            jet = iso.field.jet2(x, y)
-            gx[i, j] = jet.fx
-            gy[i, j] = jet.fy
-
-    def cell_changes_sign(a):
-        corners = a
-        return corners.min() <= 0.0 <= corners.max()
+    for rows, jet in _grid_jets(iso.field, xs, ys):
+        gx[rows] = jet.fx
+        gy[rows] = jet.fy
 
     found = []
-    for i in range(grid_n):
-        for j in range(grid_n):
-            cx = np.array([gx[i, j], gx[i + 1, j], gx[i, j + 1], gx[i + 1, j + 1]])
-            cy = np.array([gy[i, j], gy[i + 1, j], gy[i, j + 1], gy[i + 1, j + 1]])
-            if not (cell_changes_sign(cx) or cell_changes_sign(cy)):
-                continue
-            seed = (0.5 * (xs[i] + xs[i + 1]), 0.5 * (ys[j] + ys[j + 1]))
-            pt = _newton_on_gradient(iso.field, seed, residual_tol)
-            if pt is None:
-                continue
-            x, y, res, hess = pt
-            if not (xmin - 1e-9 <= x <= xmax + 1e-9
-                    and ymin - 1e-9 <= y <= ymax + 1e-9):
-                continue
-            if any(math.hypot(x - p.location[0], y - p.location[1]) < 1e-6
-                   for p in found):
-                continue
-            found.append(CriticalPoint(location=(x, y), gradient_residual=res,
-                                       hessian=hess,
-                                       morse_type=_morse_type(hess)))
+    for i, j in zip(*np.nonzero(_seed_cells(gx) | _seed_cells(gy))):
+        seed = (0.5 * (xs[i] + xs[i + 1]), 0.5 * (ys[j] + ys[j + 1]))
+        pt = _newton_on_gradient(iso.field, seed, residual_tol)
+        if pt is None:
+            continue
+        x, y, res, hess = pt
+        if not (xmin - 1e-9 <= x <= xmax + 1e-9
+                and ymin - 1e-9 <= y <= ymax + 1e-9):
+            continue
+        if any(math.hypot(x - p.location[0], y - p.location[1]) < 1e-6
+               for p in found):
+            continue
+        found.append(CriticalPoint(location=(x, y), gradient_residual=res,
+                                   hessian=hess,
+                                   morse_type=_morse_type(hess)))
     found.sort(key=lambda p: (p.location[1], p.location[0]))
     return found
+
+
+def _seed_cells(a: np.ndarray) -> np.ndarray:
+    """Cells whose corner values satisfy min <= 0 <= max (no NaN corner)."""
+
+    def corners(mask):
+        return mask[:-1, :-1] | mask[1:, :-1] | mask[:-1, 1:] | mask[1:, 1:]
+
+    return corners(a <= 0.0) & corners(a >= 0.0) & ~corners(np.isnan(a))
 
 
 def _newton_on_gradient(field, seed, residual_tol, max_iter=200):

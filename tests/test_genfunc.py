@@ -1,12 +1,16 @@
+import math
+
 import numpy as np
 import pytest
 
-from torsionlab.errors import SolverDiverged, TwistBoundViolation
-from torsionlab.expr import ExprField
+from torsionlab.errors import DomainError, SolverDiverged, TwistBoundViolation
+from torsionlab.expr import ExprField, Jet2
+from torsionlab.fixtures import Ex5Field
 from torsionlab.genfunc import (
     GenIsotopy, MORSE_DEGENERATE, MORSE_MIN, MORSE_SADDLE, PolynomialField,
-    _solve_X, alt_jacobian_path, alt_trajectory, find_critical_points,
-    gf_alt_apply, gf_apply, gf_jacobian, jacobian_path, verify_twist_bound,
+    _seed_cells, _solve_X, _solver_tol, alt_jacobian_path, alt_trajectory,
+    find_critical_points, gf_alt_apply, gf_apply, gf_jacobian, jacobian_path,
+    verify_twist_bound,
 )
 
 
@@ -188,3 +192,134 @@ def test_trajectories_are_polylines():
     assert path.points.shape[1] == 2
     assert path.params[0] == 0.0 and path.params[-1] == 1.0
     assert 0.5 in path.params
+
+
+# --- batched grid consumers against the point-by-point scans ----------------
+
+def scalar_twist_max(iso, region, grid=64):
+    """The point-by-point loop that verify_twist_bound batches."""
+    xmin, xmax, ymin, ymax = map(float, region)
+    worst = -math.inf
+    for i in range(grid):
+        x = xmin + (xmax - xmin) * i / (grid - 1)
+        for j in range(grid):
+            y = ymin + (ymax - ymin) * j / (grid - 1)
+            worst = max(worst, iso.field.jet2(x, y).fxy)
+    return worst
+
+
+class HoleyField:
+    """d12 g = x y / 4, NaN where x > 1/2: the maximum skips NaN samples."""
+
+    def jet2(self, x, y):
+        fxy = np.where(np.greater(x, 0.5), np.nan, np.multiply(x, y) / 4)
+        return Jet2(0.0, fxy=fxy if fxy.ndim else float(fxy))
+
+
+@pytest.mark.parametrize("field", [
+    ExprField("0.3*x^2-0.2*y^2+0.1*x*y"),
+    ExprField("0.15*sin(1.5*(x-0.3))*sin(1.7*(y+0.1))"),
+    ExprField("0.05*exp(x/2)*log(y^2+1)+0.02*x^3*y^2"),
+    ExprField("select(x<y,0.2*x*y,0.1*x^2*y)+0.3*y^2"),
+    ExprField("x^2+y^2"),  # d12 g is the constant 0
+    PolynomialField([[0.0, 0.2, -0.1], [0.1, 0.05, 0.0], [0.3, 0.0, 0.0]]),
+    Ex5Field(),
+    HoleyField(),
+])
+def test_verify_twist_bound_matches_scalar_loop(field):
+    iso = GenIsotopy(field, twist_bound_c=0.9)
+    for region in ((-1, 1, -1, 1), (-0.6, 0.6, 0.05, 0.95), (0, 1, 0, 1)):
+        assert_same_float(verify_twist_bound(iso, region),
+                          scalar_twist_max(iso, region))
+    assert_same_float(verify_twist_bound(iso, (-2, 2, -1, 1), grid=101),
+                      scalar_twist_max(iso, (-2, 2, -1, 1), grid=101))
+
+
+def assert_same_float(got, want):
+    assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
+
+
+def test_verify_twist_bound_reports_first_scalar_error():
+    # x = 0.25 and y = 0 are grid points; x-outer order meets (0.25, 0) first
+    iso = GenIsotopy(ExprField("x*y+select(y>0.1,0,1/(x-0.25))"),
+                     twist_bound_c=0.5)
+    with pytest.raises(DomainError) as batched:
+        verify_twist_bound(iso, (0, 1, 0, 1), grid=5)
+    with pytest.raises(DomainError) as scalar:
+        scalar_twist_max(iso, (0, 1, 0, 1), grid=5)
+    assert str(batched.value) == str(scalar.value)
+    assert "at (0.25, 0.0)" in str(batched.value)
+
+
+def scalar_seed_cells(gx, gy):
+    """The per-cell rule that _seed_cells vectorises."""
+    n, m = gx.shape[0] - 1, gx.shape[1] - 1
+    out = np.zeros((n, m), dtype=bool)
+    for i in range(n):
+        for j in range(m):
+            for a in (gx, gy):
+                corners = np.array([a[i, j], a[i + 1, j],
+                                    a[i, j + 1], a[i + 1, j + 1]])
+                if corners.min() <= 0.0 <= corners.max():
+                    out[i, j] = True
+    return out
+
+
+def test_seed_mask_matches_per_cell_rule():
+    rng = np.random.default_rng(4)
+    values = np.array([-1.0, -1e-300, -0.0, 0.0, 2.5, math.nan, math.inf])
+    for _ in range(30):
+        gx, gy = rng.choice(values, size=(2, 9, 7))
+        assert np.array_equal(_seed_cells(gx) | _seed_cells(gy),
+                              scalar_seed_cells(gx, gy))
+    gx, gy = rng.uniform(-1, 1, size=(2, 33, 33))
+    assert np.array_equal(_seed_cells(gx) | _seed_cells(gy),
+                          scalar_seed_cells(gx, gy))
+
+
+def test_polynomial_field_jets_on_arrays():
+    field = PolynomialField([[0.5, -0.2, 0.1, 0.03], [0.3, 0.7, -0.4, 0.0],
+                             [-0.6, 0.2, 0.0, 0.0], [0.11, 0.0, 0.0, 0.0]])
+    xs = np.linspace(-1.5, 1.5, 13)
+    ys = np.linspace(-1.0, 2.0, 11)
+    jet = field.jet2(xs[:, None], ys[None, :])
+    for i, x in enumerate(xs):
+        for j, y in enumerate(ys):
+            want = field.jet2(x, y)
+            for k in ("f", "fx", "fy", "fxx", "fxy", "fyy"):
+                assert getattr(jet, k)[i, j] == getattr(want, k)
+
+
+def test_ex5_field_array_jets_equal_scalar_jets():
+    field = Ex5Field()
+    # the critical-point grid of the ex5 fixture, widened past y = 0 and 1
+    xs = np.linspace(-0.6, 0.6, 401)
+    ys = np.concatenate([np.linspace(-0.05, 1.05, 399), [0.0, 1.0]])
+    jet = field.jet2(xs[:, None], ys[None, :])
+    rng = np.random.default_rng(6)
+    picks = [(i, j) for i in (0, 200, 400) for j in range(len(ys))]
+    picks += list(zip(rng.integers(0, 401, 400), rng.integers(0, 401, 400)))
+    for i, j in picks:
+        want = field.jet2(float(xs[i]), float(ys[j]))
+        for k in ("f", "fx", "fy", "fxx", "fxy", "fyy"):
+            got = getattr(jet, k)[i, j]
+            assert got == getattr(want, k)
+            assert math.copysign(1.0, got) == math.copysign(1.0,
+                                                            getattr(want, k))
+
+
+def test_solver_tolerance_floor_far_from_origin():
+    # the saddle's orbit reaches |X| ~ 1e4 by step 23, where a residual of
+    # 1e-12 is below the float spacing of X; the 60-step orbit must finish
+    g = ExprField("0.3*x^2-0.2*y^2+0.1*x*y")
+    iso = GenIsotopy(g, twist_bound_c=0.5)
+    z = (0.3, 0.2)
+    for _ in range(60):
+        X, Y = gf_apply(iso, 1.0, z)
+        jet = g.jet2(X, z[1])
+        assert abs(X - z[0] - jet.fy) <= _solver_tol(iso, X, z[0])
+        assert Y == z[1] - jet.fx
+        z = (X, Y)
+    assert abs(z[0]) > 1e12
+    # below |X| ~ 1000 the floor stays at solver_tol
+    assert _solver_tol(iso, 999.0, -999.0) == iso.solver_tol
