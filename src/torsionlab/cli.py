@@ -17,7 +17,10 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .errors import ExprSyntaxError, TorsionlabError, UnknownFixture, UnknownIdentifier
+from .errors import (
+    ExprSyntaxError, InputError, TorsionlabError, UnknownFixture,
+    UnknownIdentifier,
+)
 from .expr import ExprField, eval_value, parse_expr
 from .fixtures import fixture_names, load_fixture, run_fixture_claims
 from .foliate import (
@@ -55,14 +58,6 @@ OPS = ("lefschetz", "isotopy-index", "foliation-index", "linking",
        "critical-points", "transversality")
 
 
-class InputError(Exception):
-    """Scenario or flag problem; maps to exit code 2."""
-
-
-def _fail_input(msg: str) -> "InputError":
-    return InputError(msg)
-
-
 # --- scenario loading ---------------------------------------------------------
 
 def load_scenario_file(path: str) -> dict:
@@ -70,40 +65,42 @@ def load_scenario_file(path: str) -> dict:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
-        raise _fail_input(f"cannot read scenario file: {exc}")
+        raise InputError(f"cannot read scenario file: {exc}")
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise _fail_input(
+        raise InputError(
             f"scenario parse error at line {exc.lineno}, column {exc.colno}:"
             f" {exc.msg}")
     if not isinstance(doc, dict):
-        raise _fail_input("scenario must be a JSON object")
+        raise InputError("scenario must be a JSON object")
     unknown = set(doc) - _TOP_KEYS
     if unknown:
-        raise _fail_input(f"unknown scenario keys: {sorted(unknown)}")
+        raise InputError(f"unknown scenario keys: {sorted(unknown)}")
     if doc.get("schema") != SCHEMA_VERSION:
-        raise _fail_input(
+        raise InputError(
             f"unsupported schema version {doc.get('schema')!r}"
             f" (expected {SCHEMA_VERSION})")
     kind = doc.get("kind")
     if kind not in _KINDS:
-        raise _fail_input(f"unknown kind {kind!r}; expected one of "
-                          f"{sorted(_KINDS)}")
+        raise InputError(f"unknown kind {kind!r}; expected one of "
+                         f"{sorted(_KINDS)}")
     spec = _KINDS[kind]
     exprs = doc.get("expressions", {})
     if not isinstance(exprs, dict) or set(exprs) != spec["expressions"]:
-        raise _fail_input(
+        raise InputError(
             f"kind {kind!r} needs expressions {sorted(spec['expressions'])}")
     params = doc.get("parameters", {})
     if not isinstance(params, dict):
-        raise _fail_input("parameters must be an object")
+        raise InputError("parameters must be an object")
     missing = spec["parameters"] - set(params)
     if missing:
-        raise _fail_input(f"kind {kind!r} needs parameters {sorted(missing)}")
+        raise InputError(f"kind {kind!r} needs parameters {sorted(missing)}")
     region = doc.get("region")
-    if region is not None and (not isinstance(region, list) or len(region) != 4):
-        raise _fail_input("region must be [xmin, xmax, ymin, ymax]")
+    if region is not None and (
+            not isinstance(region, list) or len(region) != 4
+            or not all(isinstance(v, (int, float)) for v in region)):
+        raise InputError("region must be [xmin, xmax, ymin, ymax]")
     return doc
 
 
@@ -111,7 +108,7 @@ def _parse_scenario_expr(text: str, variables) -> object:
     try:
         return parse_expr(text, variables=variables)
     except (ExprSyntaxError, UnknownIdentifier) as exc:
-        raise _fail_input(f"expression error in {text!r}: {exc}")
+        raise InputError(f"expression error in {text!r}: {exc}")
 
 
 class LoadedScenario:
@@ -175,7 +172,7 @@ class LoadedScenario:
                 return (-Y * math.cos(a), -Y * math.sin(a))
 
             return PlanarIsotopy(eval=ev, provenance="annulus end model")
-        raise _fail_input(f"kind {self.kind!r} does not define an isotopy")
+        raise InputError(f"kind {self.kind!r} does not define an isotopy")
 
     def time_one(self):
         iso = self.planar_isotopy()
@@ -186,7 +183,7 @@ class LoadedScenario:
             return gradient_foliation(self.gen.field)
         if self.kind == "vector_field":
             return self.foliation
-        raise _fail_input(
+        raise InputError(
             f"kind {self.kind!r} does not define a foliation")
 
     def derivative_path(self, at):
@@ -206,7 +203,7 @@ class LoadedScenario:
                 return np.array(cols).T
 
             return dpath
-        raise _fail_input(
+        raise InputError(
             f"kind {self.kind!r} does not define a derivative path")
 
 
@@ -218,9 +215,9 @@ def _parse_point(text: str):
     try:
         parts = [float(p) for p in text.split(",")]
     except ValueError:
-        raise _fail_input(f"bad point {text!r}; expected 'x,y'")
+        raise InputError(f"bad point {text!r}; expected 'x,y'")
     if len(parts) != 2:
-        raise _fail_input(f"bad point {text!r}; expected 'x,y'")
+        raise InputError(f"bad point {text!r}; expected 'x,y'")
     return tuple(parts)
 
 
@@ -292,14 +289,14 @@ def _op_result(loaded: LoadedScenario, args) -> dict:
                 "case": v.case_tag, "degenerate": v.degenerate}
     if op == "twist":
         if loaded.kind != "annulus_map":
-            raise _fail_input("twist needs an annulus_map scenario")
+            raise InputError("twist needs an annulus_map scenario")
         rep = twist_check_and_search(loaded.annulus, grid=args.grid)
         return {"twist_holds": rep.twist_holds,
                 "fixed_points": rep.fixed_points,
                 "boundary_products": rep.boundary_products}
     if op == "critical-points":
         if loaded.kind != "genfunc":
-            raise _fail_input("critical-points needs a genfunc scenario")
+            raise InputError("critical-points needs a genfunc scenario")
         region = loaded.region or _region_from_flag(args)
         pts = find_critical_points(loaded.gen, region, args.grid)
         return {"critical_points": [
@@ -308,7 +305,7 @@ def _op_result(loaded: LoadedScenario, args) -> dict:
              "hessian": p.hessian} for p in pts]}
     if op == "transversality":
         if loaded.kind != "genfunc":
-            raise _fail_input("transversality needs a genfunc scenario")
+            raise InputError("transversality needs a genfunc scenario")
         at = _parse_point(args.at)
         rep = transversality_report(alt_trajectory(loaded.gen, at,
                                                    args.samples),
@@ -316,15 +313,18 @@ def _op_result(loaded: LoadedScenario, args) -> dict:
         return {"verdict": rep.verdict, "min_det": rep.min_det,
                 "samples_used": rep.samples_used,
                 "first_violation": rep.first_violation}
-    raise _fail_input(f"unknown op {op!r}")
+    raise InputError(f"unknown op {op!r}")
 
 
 def _region_from_flag(args):
     if not args.region:
-        raise _fail_input("critical-points needs --region or a scenario region")
-    parts = [float(p) for p in args.region.split(",")]
+        raise InputError("critical-points needs --region or a scenario region")
+    try:
+        parts = [float(p) for p in args.region.split(",")]
+    except ValueError:
+        parts = []
     if len(parts) != 4:
-        raise _fail_input("--region expects xmin,xmax,ymin,ymax")
+        raise InputError("--region expects xmin,xmax,ymin,ymax")
     return tuple(parts)
 
 
@@ -350,6 +350,8 @@ def cmd_analyze(args) -> int:
     loaded = LoadedScenario(doc)
     try:
         result = _op_result(loaded, args)
+    except InputError:
+        raise
     except TorsionlabError as exc:
         _emit({"command": "analyze", "op": args.op, "scenario": doc,
                "error": {"name": type(exc).__name__, "detail": str(exc)}})
@@ -379,7 +381,7 @@ def _export_rows(args) -> tuple:
         elif isinstance(gen, Foliation):
             fol = gen
         else:
-            raise _fail_input(f"{name} does not define a foliation for leaves")
+            raise InputError(f"{name} does not define a foliation for leaves")
         around = _parse_point(args.around)
         rows = []
         for k in range(args.leaves):
@@ -398,7 +400,7 @@ def _export_rows(args) -> tuple:
     elif isinstance(gen, PlanarIsotopy):
         step_map = gen.time_one()
     else:
-        raise _fail_input(f"{name} does not define a map for orbits")
+        raise InputError(f"{name} does not define a map for orbits")
     rows = [(0, z[0], z[1])]
     for k in range(1, args.steps + 1):
         z = step_map(z)
@@ -408,7 +410,7 @@ def _export_rows(args) -> tuple:
 
 def cmd_export(args) -> int:
     if bool(args.leaves) == bool(args.orbit):
-        raise _fail_input("export needs exactly one of --leaves or --orbit")
+        raise InputError("export needs exactly one of --leaves or --orbit")
     header, rows = _export_rows(args)
     try:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -488,10 +490,7 @@ def main(argv: Optional[list] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except (ExprSyntaxError, UnknownIdentifier) as exc:
+    except (InputError, ExprSyntaxError, UnknownIdentifier) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except TorsionlabError as exc:

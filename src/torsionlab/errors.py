@@ -5,6 +5,10 @@ class TorsionlabError(Exception):
     """Base class for every error raised by this package."""
 
 
+class InputError(TorsionlabError, ValueError):
+    """Out-of-range argument, flag or scenario; the CLI exits 2."""
+
+
 class ExprSyntaxError(TorsionlabError):
     """Malformed expression text; carries the byte offset of the failure."""
 

@@ -567,10 +567,8 @@ def _build_ex5() -> Scenario:
     targets = [(0.0, 0.5), (0.0, 1.0 / 3.0), (0.0, 0.25)]
 
     def located(s):
-        pts = s.objects.setdefault(
-            "critical_points",
-            find_critical_points(s.objects["iso"], region, 400))
-        return [p.location for p in pts]
+        return [p.location
+                for p in find_critical_points(s.objects["iso"], region, 400)]
 
     def saddle_kinds(s):
         return [classify_singularity(fol, z, 0.03).kind for z in targets]

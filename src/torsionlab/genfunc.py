@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import SolverDiverged, TwistBoundViolation
+from .errors import InputError, SolverDiverged, TwistBoundViolation
 from .expr import Jet2
 from .geom import Polyline
 
@@ -155,7 +155,7 @@ def _solver_tol(iso: GenIsotopy, X: float, x: float) -> float:
 def gf_apply(iso: GenIsotopy, t: float, z) -> tuple:
     """Apply f_t to z = (x, y)."""
     if not 0.0 <= t <= 1.0:
-        raise ValueError("t must lie in [0, 1]")
+        raise InputError("t must lie in [0, 1]")
     x, y = float(z[0]), float(z[1])
     if t == 0.0:
         return (x, y)
@@ -166,11 +166,16 @@ def gf_apply(iso: GenIsotopy, t: float, z) -> tuple:
 def gf_jacobian(iso: GenIsotopy, t: float, z) -> np.ndarray:
     """Closed-form Jacobian of f_t at z, evaluated at (X, y); det = 1."""
     if not 0.0 <= t <= 1.0:
-        raise ValueError("t must lie in [0, 1]")
+        raise InputError("t must lie in [0, 1]")
     x, y = float(z[0]), float(z[1])
     if t == 0.0:
         return np.eye(2)
     _, jet = _solve_X(iso, t, x, y)
+    return _map_jacobian(t, jet)
+
+
+def _map_jacobian(t: float, jet: Jet2) -> np.ndarray:
+    """Jacobian of f_t from the jet of g at (X, y)."""
     s = t * jet.fxy
     r = t * jet.fxx
     q = t * jet.fyy
@@ -182,7 +187,7 @@ def gf_jacobian(iso: GenIsotopy, t: float, z) -> np.ndarray:
 def gf_alt_apply(iso: GenIsotopy, t: float, z) -> tuple:
     """Two-phase isotopy: horizontal to (X, y) first, vertical after t = 1/2."""
     if not 0.0 <= t <= 1.0:
-        raise ValueError("t must lie in [0, 1]")
+        raise InputError("t must lie in [0, 1]")
     x, y = float(z[0]), float(z[1])
     X, Y = gf_apply(iso, 1.0, z)
     if t <= 0.5:
@@ -206,29 +211,23 @@ def alt_trajectory(iso: GenIsotopy, z, n_samples: int = 65) -> Polyline:
     return Polyline(params=ts, points=pts)
 
 
+def _critical_jet(iso: GenIsotopy, z_fixed) -> Jet2:
+    """Jet of g at z_fixed, which must be a critical point (X = x there)."""
+    jet = iso.field.jet2(float(z_fixed[0]), float(z_fixed[1]))
+    if math.hypot(jet.fx, jet.fy) > 1e-8:
+        raise InputError(f"{z_fixed!r} is not a critical point of g")
+    return jet
+
+
 def jacobian_path(iso: GenIsotopy, z_fixed):
     """t -> Jacobian of f_t at a fixed point (derivative isotopy path)."""
-    x, y = float(z_fixed[0]), float(z_fixed[1])
-    jet = iso.field.jet2(x, y)
-    if math.hypot(jet.fx, jet.fy) > 1e-8:
-        raise ValueError(f"{z_fixed!r} is not a critical point of g")
-    rho, sigma, tau = jet.fxx, jet.fxy, jet.fyy
-
-    def dpath(t: float) -> np.ndarray:
-        s = t * sigma
-        return (1.0 / (1.0 - s)) * np.array(
-            [[1.0, t * tau],
-             [-t * rho, -t * t * rho * tau + (1.0 - s) ** 2]])
-
-    return dpath
+    jet = _critical_jet(iso, z_fixed)
+    return lambda t: _map_jacobian(t, jet)
 
 
 def alt_jacobian_path(iso: GenIsotopy, z_fixed):
     """t -> Jacobian of the two-phase isotopy f'_t at a fixed point."""
-    x, y = float(z_fixed[0]), float(z_fixed[1])
-    jet = iso.field.jet2(x, y)
-    if math.hypot(jet.fx, jet.fy) > 1e-8:
-        raise ValueError(f"{z_fixed!r} is not a critical point of g")
+    jet = _critical_jet(iso, z_fixed)
     rho, sigma, tau = jet.fxx, jet.fxy, jet.fyy
     d1X = 1.0 / (1.0 - sigma)
     d2X = tau / (1.0 - sigma)
@@ -274,7 +273,7 @@ def find_critical_points(iso: GenIsotopy, region: Sequence[float],
     to the grid.
     """
     if grid_n < 8:
-        raise ValueError("grid_n must be >= 8")
+        raise InputError("grid_n must be >= 8")
     xmin, xmax, ymin, ymax = map(float, region)
     xs = np.linspace(xmin, xmax, grid_n + 1)
     ys = np.linspace(ymin, ymax, grid_n + 1)
@@ -284,19 +283,36 @@ def find_critical_points(iso: GenIsotopy, region: Sequence[float],
         gx[rows] = jet.fx
         gy[rows] = jet.fy
 
+    field = iso.field
+
+    def gradient_model(x, y):
+        jet = field.jet2(x, y)
+
+        def step():
+            H = np.array([[jet.fxx, jet.fxy], [jet.fxy, jet.fyy]])
+            rhs = -np.array([jet.fx, jet.fy])
+            try:
+                return np.linalg.solve(H, rhs)
+            except np.linalg.LinAlgError:
+                return np.linalg.lstsq(H, rhs, rcond=None)[0]
+
+        return math.hypot(jet.fx, jet.fy), step
+
     found = []
     for i, j in zip(*np.nonzero(_seed_cells(gx) | _seed_cells(gy))):
         seed = (0.5 * (xs[i] + xs[i + 1]), 0.5 * (ys[j] + ys[j + 1]))
-        pt = _newton_on_gradient(iso.field, seed, residual_tol)
+        pt = _newton(gradient_model, seed, residual_tol, 200, 1.0)
         if pt is None:
             continue
-        x, y, res, hess = pt
+        x, y, res = pt
         if not (xmin - 1e-9 <= x <= xmax + 1e-9
                 and ymin - 1e-9 <= y <= ymax + 1e-9):
             continue
         if any(math.hypot(x - p.location[0], y - p.location[1]) < 1e-6
                for p in found):
             continue
+        jet = field.jet2(x, y)
+        hess = np.array([[jet.fxx, jet.fxy], [jet.fxy, jet.fyy]])
         found.append(CriticalPoint(location=(x, y), gradient_residual=res,
                                    hessian=hess,
                                    morse_type=_morse_type(hess)))
@@ -304,24 +320,33 @@ def find_critical_points(iso: GenIsotopy, region: Sequence[float],
     return found
 
 
-def _seed_cells(a: np.ndarray) -> np.ndarray:
-    """Cells whose corner values satisfy min <= 0 <= max (no NaN corner)."""
+def _seed_cells(a: np.ndarray, slack: float = 0.0) -> np.ndarray:
+    """Cells whose corners satisfy min <= slack and max >= -slack (no NaN).
+
+    With slack 0 this is a sign change of a across the cell.
+    """
 
     def corners(mask):
         return mask[:-1, :-1] | mask[1:, :-1] | mask[:-1, 1:] | mask[1:, 1:]
 
-    return corners(a <= 0.0) & corners(a >= 0.0) & ~corners(np.isnan(a))
+    return (corners(a <= slack) & corners(a >= -slack)
+            & ~corners(np.isnan(a)))
 
 
-def _newton_on_gradient(field, seed, residual_tol, max_iter=200):
-    # iterate to stall so degenerate (linearly converging) zeros are pinned
-    # well inside the 1e-6 deduplication radius
+def _newton(model, seed, tol, max_iter, max_step):
+    """Damped Newton from seed; returns (x, y, residual) or None.
+
+    model(x, y) returns (residual norm, step), where step() computes the
+    Newton step only when it is taken.  The iteration runs to stall, so
+    degenerate (linearly converging) zeros are pinned well inside a 1e-6
+    deduplication radius; a step longer than max_step is scaled down to
+    max_step.  The best iterate counts if its residual is <= tol.
+    """
     x, y = seed
     best = None
     stall = 0
     for _ in range(max_iter):
-        jet = field.jet2(x, y)
-        res = math.hypot(jet.fx, jet.fy)
+        res, step = model(x, y)
         if not math.isfinite(res):
             return None
         if best is None or res < best[2]:
@@ -331,22 +356,14 @@ def _newton_on_gradient(field, seed, residual_tol, max_iter=200):
             stall += 1
         if res == 0.0 or stall >= 3:
             break
-        H = np.array([[jet.fxx, jet.fxy], [jet.fxy, jet.fyy]])
-        rhs = -np.array([jet.fx, jet.fy])
-        try:
-            delta = np.linalg.solve(H, rhs)
-        except np.linalg.LinAlgError:
-            delta, *_ = np.linalg.lstsq(H, rhs, rcond=None)
+        delta = step()
         if not np.all(np.isfinite(delta)):
             return None
-        step = float(np.hypot(delta[0], delta[1]))
-        if step > 1.0:  # runaway Newton step: damp to a unit walk
-            delta = delta / step
+        length = float(np.hypot(delta[0], delta[1]))
+        if length > max_step:
+            delta = delta / (length / max_step)
         x += float(delta[0])
         y += float(delta[1])
-    if best is None or best[2] > residual_tol:
+    if best is None or best[2] > tol:
         return None
-    x, y, res = best
-    jet = field.jet2(x, y)
-    hess = np.array([[jet.fxx, jet.fxy], [jet.fxy, jet.fyy]])
-    return x, y, res, hess
+    return best

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .errors import (
-    CenterNotFixed, FixedPointOnCurve, IdentityCheckFailed, NotFixed,
-    TrajectoryCollision, ZeroVector,
+    CenterNotFixed, FixedPointOnCurve, IdentityCheckFailed, InputError,
+    NotFixed, TrajectoryCollision, ZeroVector,
 )
 from .genfunc import GenIsotopy, gf_alt_apply, gf_apply
 from .geom import TWO_PI, angle_sweep, build_winding_path, winding_number
@@ -155,7 +155,7 @@ def lefschetz_index(f: Callable[[tuple], tuple], center, radius: float,
                     samples: int = 256) -> int:
     """Brouwer degree of the normalized displacement along a circle."""
     if samples < 64:
-        raise ValueError("samples must be >= 64")
+        raise InputError("samples must be >= 64")
     cx, cy = float(center[0]), float(center[1])
 
     def disp(s):
@@ -183,7 +183,7 @@ def isotopy_index(iso: PlanarIsotopy, center, radius: float,
     by tracking eval(t, .) continuously in t from the identity.
     """
     if samples < 64:
-        raise ValueError("samples must be >= 64")
+        raise InputError("samples must be >= 64")
     _check_center_fixed(iso, center)
     cx, cy = float(center[0]), float(center[1])
     f1 = iso.time_one()

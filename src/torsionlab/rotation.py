@@ -8,14 +8,13 @@ first coordinate of the annular cover.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import NotALift, NotOrientationPreserving, ZeroVector
+from .errors import InputError, NotALift, NotOrientationPreserving, ZeroVector
+from .genfunc import _newton, _seed_cells
 from .geom import TWO_PI, angle_sweep, build_winding_path
 from .indices import PlanarIsotopy, trajectory_turns
 
@@ -172,9 +171,9 @@ def rotation_samples(iso: PlanarIsotopy, center, U_radius: float,
     for kept orbits returns (start, rho_n) with rho_n in turns per step.
     """
     if not 0.0 < V_radius < U_radius:
-        raise ValueError("need 0 < V_radius < U_radius")
+        raise InputError("need 0 < V_radius < U_radius")
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise InputError("n must be >= 1")
     cx, cy = float(center[0]), float(center[1])
     pts = list(seed_points) if seed_points is not None else \
         _default_seeds(center, V_radius, U_radius, seeds)
@@ -195,13 +194,7 @@ def rotation_samples(iso: PlanarIsotopy, center, U_radius: float,
                 return None
         return (z0, total / n)
 
-    workers = max(int(os.environ.get("TORSIONLAB_THREADS", "1")), 1)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(orbit_sample, pts))
-    else:
-        results = [orbit_sample(z) for z in pts]
-    return [r for r in results if r is not None]
+    return [r for r in map(orbit_sample, pts) if r is not None]
 
 
 @dataclass
@@ -228,9 +221,9 @@ def local_rotation_set_estimate(iso: PlanarIsotopy, center, r0: float,
     flagged instead of reported as unbounded reals.
     """
     if levels < 1:
-        raise ValueError("levels must be >= 1")
+        raise InputError("levels must be >= 1")
     if n_max < 4:
-        raise ValueError("n_max must be >= 4")
+        raise InputError("n_max must be >= 4")
     schedule = []
     n = 1
     while n < n_max:
@@ -316,7 +309,7 @@ class AnnulusLiftMap:
 
     def __post_init__(self):
         if not 0.0 < self.a <= self.b:
-            raise ValueError("need 0 < a <= b")
+            raise InputError("need 0 < a <= b")
         for k in range(16):
             x = k / 16.0 - 0.5
             y = self.a * (2.0 * ((k * 7) % 16) / 15.0 - 1.0)
@@ -344,84 +337,58 @@ def twist_check_and_search(m: AnnulusLiftMap, grid: int = 64) -> TwistReport:
     deduplicated mod 1 in x.
     """
     if grid < 16:
-        raise ValueError("grid must be >= 16")
+        raise InputError("grid must be >= 16")
     xs = [i / grid for i in range(grid)]
-    top = [m.lift(x, m.a)[0] - x for x in xs]
-    bot = [m.lift(x, -m.a)[0] - x for x in xs]
-    twist = (max(top) < 0.0 and min(bot) > 0.0) or \
-            (min(top) > 0.0 and max(bot) < 0.0)
-
     ys = np.linspace(-m.a, m.a, grid + 1)
     d1 = np.empty((grid + 1, grid + 1))
     d2 = np.empty((grid + 1, grid + 1))
-    for i, x in enumerate(list(xs) + [1.0]):
+    for i, x in enumerate(xs + [1.0]):
         for j, y in enumerate(ys):
             w = m.lift(x, y)
             d1[i, j] = w[0] - x
             d2[i, j] = w[1] - y
+    # linspace keeps its endpoints exact: the last and first columns are
+    # the displacements on the boundary circles y = a and y = -a
+    top = d1[:grid, -1].tolist()
+    bot = d1[:grid, 0].tolist()
+    twist = (max(top) < 0.0 and min(bot) > 0.0) or \
+            (min(top) > 0.0 and max(bot) < 0.0)
 
-    def straddles(c):
-        return (c.min() <= 1e-9) and (c.max() >= -1e-9)
+    h = 1e-7
+
+    def lift_model(x, y):
+        w = m.lift(x, y)
+        r = np.array([w[0] - x, w[1] - y])
+
+        def step():
+            J = np.empty((2, 2))
+            for k, (dx, dy) in enumerate(((h, 0.0), (0.0, h))):
+                wp = m.lift(x + dx, y + dy)
+                wm = m.lift(x - dx, y - dy)
+                J[0, k] = (wp[0] - wm[0]) / (2 * h) - (1.0 if k == 0 else 0.0)
+                J[1, k] = (wp[1] - wm[1]) / (2 * h) - (1.0 if k == 1 else 0.0)
+            return np.linalg.lstsq(J, -r, rcond=None)[0]
+
+        return float(np.hypot(r[0], r[1])), step
 
     found = []
-    for i in range(grid):
-        for j in range(grid):
-            c1 = np.array([d1[i, j], d1[i + 1, j], d1[i, j + 1], d1[i + 1, j + 1]])
-            c2 = np.array([d2[i, j], d2[i + 1, j], d2[i, j + 1], d2[i + 1, j + 1]])
-            if not (straddles(c1) and straddles(c2)):
-                continue
-            x0 = xs[i] + 0.5 / grid
-            y0 = 0.5 * (ys[j] + ys[j + 1])
-            pt = _refine_fixed_point(m, (x0, y0))
-            if pt is None:
-                continue
-            x, y = pt
-            x = x % 1.0
-            if abs(y) > m.a + 1e-9:
-                continue
-            if any(min(abs(x - px), 1.0 - abs(x - px)) < 1e-6
-                   and abs(y - py) < 1e-6 for px, py in found):
-                continue
-            found.append((x, y))
+    seeds = _seed_cells(d1, 1e-9) & _seed_cells(d2, 1e-9)
+    for i, j in zip(*np.nonzero(seeds)):
+        x0 = xs[i] + 0.5 / grid
+        y0 = 0.5 * (ys[j] + ys[j + 1])
+        pt = _newton(lift_model, (x0, y0), 1e-9, 60, 0.5)
+        if pt is None:
+            continue
+        x, y, _ = pt
+        x = x % 1.0
+        if abs(y) > m.a + 1e-9:
+            continue
+        if any(min(abs(x - px), 1.0 - abs(x - px)) < 1e-6
+               and abs(y - py) < 1e-6 for px, py in found):
+            continue
+        found.append((x, y))
     found.sort()
     return TwistReport(
         twist_holds=bool(twist),
         boundary_products={"top": list(zip(xs, top)), "bottom": list(zip(xs, bot))},
         fixed_points=found)
-
-
-def _refine_fixed_point(m: AnnulusLiftMap, seed, max_iter=60, tol=1e-9):
-    x, y = seed
-    h = 1e-7
-    best = None
-    stall = 0
-    for _ in range(max_iter):
-        w = m.lift(x, y)
-        r = np.array([w[0] - x, w[1] - y])
-        res = float(np.hypot(r[0], r[1]))
-        if not math.isfinite(res):
-            return None
-        if best is None or res < best[2]:
-            best = (x, y, res)
-            stall = 0
-        else:
-            stall += 1
-        if res == 0.0 or stall >= 3:
-            break
-        J = np.empty((2, 2))
-        for k, (dx, dy) in enumerate(((h, 0.0), (0.0, h))):
-            wp = m.lift(x + dx, y + dy)
-            wm = m.lift(x - dx, y - dy)
-            J[0, k] = (wp[0] - wm[0]) / (2 * h) - (1.0 if k == 0 else 0.0)
-            J[1, k] = (wp[1] - wm[1]) / (2 * h) - (1.0 if k == 1 else 0.0)
-        delta, *_ = np.linalg.lstsq(J, -r, rcond=None)
-        if not np.all(np.isfinite(delta)):
-            return None
-        step = float(np.hypot(delta[0], delta[1]))
-        if step > 0.5:
-            delta = delta * (0.5 / step)
-        x += float(delta[0])
-        y += float(delta[1])
-    if best is None or best[2] > tol:
-        return None
-    return best[0], best[1]

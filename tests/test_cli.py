@@ -224,6 +224,41 @@ def test_analyze_operation_error_exits_one(tmp_path, capsys):
     assert doc["error"]["name"] == "FixedPointOnCurve"
 
 
+GENFUNC = {"schema": 1, "kind": "genfunc",
+           "expressions": {"g": "0.3*x^2-0.2*y^2+0.1*x*y"},
+           "parameters": {"twist_bound_c": 0.5}, "region": [-1, 1, -1, 1]}
+ROTATION = {"schema": 1, "kind": "isotopy",
+            "expressions": {"x": "cos(0.4*pi*t)*x-sin(0.4*pi*t)*y",
+                            "y": "sin(0.4*pi*t)*x+cos(0.4*pi*t)*y"}}
+BAND = {"schema": 1, "kind": "annulus_map",
+        "expressions": {"X": "x+y", "Y": "y"},
+        "parameters": {"a": 1.0, "b": 1.0}}
+
+
+@pytest.mark.parametrize("doc, flags", [
+    (GENFUNC, ["--op", "critical-points", "--grid", "4"]),
+    (BAND, ["--op", "twist", "--grid", "8"]),
+    (GENFUNC, ["--op", "lefschetz", "--samples", "10"]),
+    (GENFUNC, ["--op", "isotopy-index", "--samples", "10"]),
+    (ROTATION, ["--op", "rotation-set", "--levels", "0"]),
+    (ROTATION, ["--op", "rotation-set", "--n-max", "2"]),
+    (GENFUNC, ["--op", "torsion-low", "--at", "0.5,0.5"]),
+    ({**GENFUNC, "region": None}, ["--op", "critical-points",
+                                   "--region", "a,b,c,d"]),
+    ({**GENFUNC, "region": ["a", 1, -1, 1]}, ["--op", "critical-points"]),
+    ({**BAND, "parameters": {"a": 2.0, "b": 1.0}}, ["--op", "twist"]),
+], ids=["grid_n", "twist-grid", "lefschetz-samples", "isotopy-samples",
+        "levels", "n-max", "not-critical", "region-flag", "region-text",
+        "annulus-a-b"])
+def test_input_errors_exit_two(tmp_path, capsys, doc, flags):
+    path = write_scenario(tmp_path, "scenario.json", doc)
+    code, out, err = run_cli(capsys, "analyze", "--scenario", path, *flags)
+    assert code == 2
+    assert err.startswith("error: ")
+    assert out == ""
+    assert "Traceback" not in err
+
+
 def test_export_leaves_radial(tmp_path, capsys):
     out_path = tmp_path / "leaves.csv"
     code, _, err = run_cli(capsys, "export", "--fixture", "appA_quadratic",

@@ -265,6 +265,22 @@ def scalar_seed_cells(gx, gy):
     return out
 
 
+def scalar_twist_seed_cells(d1, d2):
+    """The per-cell straddle rule of the annulus fixed-point search."""
+
+    def straddles(c):
+        return (c.min() <= 1e-9) and (c.max() >= -1e-9)
+
+    n, m = d1.shape[0] - 1, d1.shape[1] - 1
+    out = np.zeros((n, m), dtype=bool)
+    for i in range(n):
+        for j in range(m):
+            c1 = np.array([d1[i, j], d1[i + 1, j], d1[i, j + 1], d1[i + 1, j + 1]])
+            c2 = np.array([d2[i, j], d2[i + 1, j], d2[i, j + 1], d2[i + 1, j + 1]])
+            out[i, j] = straddles(c1) and straddles(c2)
+    return out
+
+
 def test_seed_mask_matches_per_cell_rule():
     rng = np.random.default_rng(4)
     values = np.array([-1.0, -1e-300, -0.0, 0.0, 2.5, math.nan, math.inf])
@@ -275,6 +291,16 @@ def test_seed_mask_matches_per_cell_rule():
     gx, gy = rng.uniform(-1, 1, size=(2, 33, 33))
     assert np.array_equal(_seed_cells(gx) | _seed_cells(gy),
                           scalar_seed_cells(gx, gy))
+    # the twist rule: both components within 1e-9 of a sign change
+    near = np.array([-1.0, -2e-9, -1e-9, -0.0, 1e-9, 1.5e-9, 3.0, math.nan,
+                     -math.inf])
+    for _ in range(60):
+        d1, d2 = rng.choice(near, size=(2, 8, 9))
+        assert np.array_equal(_seed_cells(d1, 1e-9) & _seed_cells(d2, 1e-9),
+                              scalar_twist_seed_cells(d1, d2))
+    d1, d2 = rng.uniform(-1, 1, size=(2, 25, 25)) * 1e-8
+    assert np.array_equal(_seed_cells(d1, 1e-9) & _seed_cells(d2, 1e-9),
+                          scalar_twist_seed_cells(d1, d2))
 
 
 def test_polynomial_field_jets_on_arrays():

@@ -137,14 +137,6 @@ def test_rotation_samples_identity_all_zero():
     assert all(rho == pytest.approx(0.0, abs=1e-12) for _, rho in out)
 
 
-def test_rotation_samples_thread_cap_matches_serial(monkeypatch):
-    iso = rotation_isotopy((0.0, 0.0), 0.2)
-    serial = rotation_samples(iso, (0.0, 0.0), 1.0, 0.25, 4, seeds=12)
-    monkeypatch.setenv("TORSIONLAB_THREADS", "3")
-    fanned = rotation_samples(iso, (0.0, 0.0), 1.0, 0.25, 4, seeds=12)
-    assert fanned == serial
-
-
 def ex3_isotopy():
     """Annulus-escape model: rotate by t/|z| turns (lift x - t/y)."""
 
@@ -292,3 +284,31 @@ def test_twist_three_band_middle():
     assert rep.twist_holds
     assert rep.fixed_points
     assert all(abs(y) <= 1e-9 for _, y in rep.fixed_points)
+
+
+def test_twist_isolated_fixed_points():
+    # f(x, y) = (x + y + w, y + w), w = 0.05 sin 2 pi x: fixed points are
+    # exactly (0, 0) and (1/2, 0); the refined bits are pinned
+    def lift(x, y):
+        w = 0.05 * math.sin(2 * math.pi * x)
+        return (x + y + w, y + w)
+
+    m = AnnulusLiftMap(lift=lift, a=0.5, b=0.55)
+    pinned = {
+        24: [("0x0.0000000000001p-1022", "0x0.0p+0"),
+             ("0x1.0000000000000p-1", "0x1.1cc6fd22a0816p-56")],
+        64: [("0x0.0p+0", "0x0.0p+0"),
+             ("0x1.0000000000000p-1", "-0x1.0dbc911015280p-56")],
+    }
+    for grid, want in pinned.items():
+        rep = twist_check_and_search(m, grid=grid)
+        assert rep.twist_holds
+        assert [(float(x).hex(), float(y).hex())
+                for x, y in rep.fixed_points] == want
+        assert np.allclose(rep.fixed_points, [(0.0, 0.0), (0.5, 0.0)],
+                           rtol=0.0, atol=1e-15)
+        # the boundary displacements are those of the lift on y = +-a
+        for (x, top), (_, bot) in zip(rep.boundary_products["top"],
+                                      rep.boundary_products["bottom"]):
+            assert top == lift(x, 0.5)[0] - x
+            assert bot == lift(x, -0.5)[0] - x
