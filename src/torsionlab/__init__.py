@@ -19,7 +19,7 @@ from .foliate import (
 )
 from .indices import (
     IsotopyOrder, PlanarIsotopy, compare_isotopies, concat_isotopies,
-    expr_isotopy, genfunc_alt_isotopy, genfunc_isotopy, homothety_isotopy,
+    expr_isotopy, genfunc_isotopy, homothety_isotopy,
     identity_isotopy, index_relation_check, isotopy_index, lefschetz_index,
     linking_number, rotation_isotopy, shear_isotopy, with_full_turns,
 )

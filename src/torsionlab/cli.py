@@ -21,7 +21,7 @@ from .errors import (
     ExprSyntaxError, InputError, TorsionlabError, UnknownFixture,
     UnknownIdentifier,
 )
-from .expr import ExprField, eval_value, parse_expr
+from .expr import ExprField, eval_jet2, eval_value, parse_expr
 from .fixtures import fixture_names, load_fixture, run_fixture_claims
 from .foliate import (
     Foliation, classify_singularity, expression_foliation, gradient_foliation,
@@ -33,8 +33,8 @@ from .genfunc import (
 )
 from .geom import TWO_PI
 from .indices import (
-    PlanarIsotopy, genfunc_isotopy, isotopy_index, lefschetz_index,
-    linking_number,
+    PlanarIsotopy, _check_center_fixed, expr_isotopy, genfunc_isotopy,
+    isotopy_index, lefschetz_index, linking_number,
 )
 from .rotation import (
     AnnulusLiftMap, isotopy_blowup_rotation, local_rotation_set_estimate,
@@ -127,14 +127,9 @@ class LoadedScenario:
             if self.region:
                 verify_twist_bound(self.gen, self.region)
         elif self.kind == "isotopy":
-            ex = _parse_scenario_expr(exprs["x"], ("t", "x", "y"))
-            ey = _parse_scenario_expr(exprs["y"], ("t", "x", "y"))
-
-            def ev(t, z):
-                env = {"t": t, "x": z[0], "y": z[1]}
-                return (eval_value(ex, env), eval_value(ey, env))
-
-            self.planar = PlanarIsotopy(eval=ev, provenance="scenario")
+            self.trees = [_parse_scenario_expr(exprs[k], ("t", "x", "y"))
+                          for k in ("x", "y")]
+            self.planar = expr_isotopy(*self.trees)
         elif self.kind == "annulus_isotopy":
             ex = _parse_scenario_expr(exprs["X"], ("t", "x", "y"))
             ey = _parse_scenario_expr(exprs["Y"], ("t", "x", "y"))
@@ -190,17 +185,12 @@ class LoadedScenario:
         if self.kind == "genfunc":
             return jacobian_path(self.gen, at)
         if self.kind == "isotopy":
-            ev = self.planar.eval
-            h = 1e-6
+            _check_center_fixed(self.planar, at)
 
             def dpath(t):
-                cols = []
-                for dx, dy in ((h, 0.0), (0.0, h)):
-                    p = ev(t, (at[0] + dx, at[1] + dy))
-                    m = ev(t, (at[0] - dx, at[1] - dy))
-                    cols.append(((p[0] - m[0]) / (2 * h),
-                                 (p[1] - m[1]) / (2 * h)))
-                return np.array(cols).T
+                X, Y = (eval_jet2(e, at[0], at[1], {"t": t})
+                        for e in self.trees)
+                return np.array([[X.fx, X.fy], [Y.fx, Y.fy]])
 
             return dpath
         raise InputError(

@@ -424,17 +424,19 @@ def _collect_names(node, out):
 
 # --- evaluation ------------------------------------------------------------
 #
-# Each tree is compiled once into closures, kept on the root node (trees are
-# immutable, so a closure never goes stale).  Jet closures are
-# fn(x, y, live) -> Jet2 and come in two builds from one compiler: over
-# floats with math, and over broadcastable arrays with numpy.  Both perform
-# the same IEEE operations in the same order, so every array lane carries
-# the bits of the scalar evaluation at its point.  In the array build,
-# ``live`` masks the lanes that the scalar evaluation of each point reaches
-# (None: all of them); where a live lane's scalar evaluation would raise,
-# the closure raises _Lane and eval_jet2 replays the points in row-major
-# order through the scalar build, which raises the error of the first
-# offending point.  Value closures are fn(env) -> float over any variables.
+# Each tree is compiled once per build into a one-argument closure, kept on
+# the root node (trees are immutable, so a closure never goes stale).  The
+# "value" build maps the variable mapping env to a float.  The jet builds
+# map the point p = (x, y, live, env) to a Jet2: "jet" over floats with
+# math, "array" over broadcastable arrays with numpy, with the same IEEE
+# operations in the same order, so every array lane carries the bits of the
+# scalar evaluation at its point.  A jet build folds each subtree that reads
+# a bound variable (any name but x, y and pi) and neither x nor y: it runs
+# as its value closure on env and enters as a constant jet.  ``live`` masks
+# the array lanes that the scalar evaluation of each point reaches (None:
+# all); where a live lane's scalar evaluation would raise, the closure
+# raises _Lane and eval_jet2 replays the points in row-major order through
+# the scalar build, which raises the error of the first offending point.
 
 _COMPARE = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
             ">=": operator.ge, "==": operator.eq, "!=": operator.ne}
@@ -444,44 +446,49 @@ class _Lane(Exception):
     """A live array lane would raise in the scalar evaluation."""
 
 
-def _domain(node, point, reason):
-    raise DomainError(f"{reason} in '{to_text(node)}' at {point}")
+def _domain(node, at, reason):
+    """Raise DomainError naming the point (x, y) of a jet or the env."""
+    where = at[:2] if isinstance(at, tuple) else dict(at)
+    raise DomainError(f"{reason} in '{to_text(node)}' at {where}")
 
 
-def _compiled(node, kind: str):
+def _compiled(node, key: str):
+    """The closure of build key[1:], cached under key ("_value", say)."""
     try:
-        return node.__dict__[kind]
+        return node.__dict__[key]
     except KeyError:
-        fn = _compile_value(node) if kind == "_value" else \
-            _compile_jet(node, kind == "_array")
-        node.__dict__[kind] = fn  # frozen only guards attribute assignment
+        # frozen only guards attribute assignment
+        fn = node.__dict__[key] = _compile(node, key[1:])
         return fn
 
 
-def eval_jet2(node, x, y) -> Jet2:
+def eval_value(node, env: Mapping[str, float]) -> float:
+    """Plain numeric evaluation with an arbitrary variable environment."""
+    return _compiled(node, "_value")(env)
+
+
+def eval_jet2(node, x, y, env: Mapping[str, float] | None = None) -> Jet2:
     """Exact value, gradient and Hessian at (x, y).
 
+    Other variables (t, say) are read from ``env`` and held constant.
     x and y are floats or broadcastable arrays.  Array fields hold the
     scalar results of each point bit for bit (a field may stay a scalar
     when it does not depend on the point), and a point whose evaluation
     fails raises the scalar error of the first such point in row-major
     order.
     """
-    if isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
-        return _eval_jet2_array(node, np.asarray(x, float),
-                                np.asarray(y, float))
-    return _compiled(node, "_jet")(float(x), float(y), None)
-
-
-def _eval_jet2_array(node, x, y):
+    env = {} if env is None else env
+    if not (isinstance(x, np.ndarray) or isinstance(y, np.ndarray)):
+        return _compiled(node, "_jet")((float(x), float(y), None, env))
+    x, y = np.asarray(x, float), np.asarray(y, float)
     with np.errstate(all="ignore"):
         try:
-            return _compiled(node, "_array")(x, y, None)
+            return _compiled(node, "_array")((x, y, None, env))
         except _Lane:
             pass
     scalar = _compiled(node, "_jet")
     for xi, yi in zip(*(a.ravel().tolist() for a in np.broadcast_arrays(x, y))):
-        scalar(xi, yi, None)
+        scalar((xi, yi, None, env))
     raise RuntimeError(f"array jet of '{to_text(node)}' flagged a lane that"
                        " evaluates cleanly")
 
@@ -490,10 +497,6 @@ def _flag(bad, live):
     """Raise _Lane when ``bad`` holds on a live lane."""
     if np.any(bad if live is None else bad & live):
         raise _Lane
-
-
-def _restrict(live, mask):
-    return mask if live is None else live & mask
 
 
 def _where(mask, a: Jet2, b: Jet2) -> Jet2:
@@ -513,91 +516,134 @@ def _libm(fn, v, live):
     return out.reshape(v.shape)
 
 
-def _compile_jet(node, array: bool):
-    """Jet closure of ``node``: over arrays with numpy if ``array``, else
-    over floats with math."""
-    # array constants are numpy floats: arithmetic on a dead lane must not
-    # raise as Python float division would
-    num = np.float64 if array else float
-    if isinstance(node, Num):
-        c = Jet2(num(node.value))
-        return lambda x, y, live: c
-    if isinstance(node, Name):
-        if node.name == "x":
-            return lambda x, y, live: Jet2(x, 1.0, 0.0)
-        if node.name == "y":
-            return lambda x, y, live: Jet2(y, 0.0, 1.0)
-        if node.name == "pi":
-            c = Jet2(num(math.pi))
-            return lambda x, y, live: c
+def _const(v, build):
+    """``v`` as a constant of ``build``.  Array constants are numpy floats:
+    arithmetic on a dead lane must not raise as Python float division would."""
+    return v if build == "value" else \
+        Jet2(np.float64(v) if build == "array" else v)
 
-        def unbound(x, y, live):
-            if array:
-                _flag(True, live)
-                return Jet2(num(math.nan))
-            raise DomainError(f"variable '{node.name}' has no jet value")
-        return unbound
+
+def _compile(node, build: str):
+    """Closure of ``node`` in ``build``: "value", "jet" or "array"."""
+    value, array = build == "value", build == "array"
+    names = frozenset() if value else free_variables(node)
+    if names and not names & {"x", "y"}:  # fold: a constant jet
+        fv = _compile(node, "value")
+        if not array:
+            return lambda p: Jet2(fv(p[3]))
+
+        def folded(p):
+            try:
+                return _const(fv(p[3]), build)
+            except (DomainError, ArithmeticError, ValueError):
+                _flag(True, p[2])  # the scalar replay raises the error
+                return _const(math.nan, build)
+        return folded
+    if isinstance(node, Num):
+        c = _const(node.value, build)
+        return lambda at: c
+    if isinstance(node, Name):
+        name = node.name
+        if name == "pi":
+            c = _const(math.pi, build)
+            return lambda at: c
+        if value:
+            def lookup(env):
+                try:
+                    return float(env[name])
+                except KeyError:
+                    raise DomainError(f"variable '{name}' not bound")
+            return lookup
+        if name == "x":  # any other name was folded
+            return lambda p: Jet2(p[0], 1.0, 0.0)
+        return lambda p: Jet2(p[1], 0.0, 1.0)
     if isinstance(node, Neg):
-        fa = _compile_jet(node.arg, array)
-        return lambda x, y, live: -fa(x, y, live)
+        fa = _compile(node.arg, build)
+        return lambda at: -fa(at)
     if isinstance(node, BinOp):
-        return _compile_binop(node, array)
+        fa = _compile(node.left, build)
+        fb = _compile(node.right, build)
+        if node.op == "+":
+            return lambda at: fa(at) + fb(at)
+        if node.op == "-":
+            return lambda at: fa(at) - fb(at)
+        if node.op == "*":
+            return lambda at: fa(at) * fb(at)
+        if value:
+            def divide(env):
+                a = fa(env)
+                b = fb(env)
+                if b == 0.0:
+                    _domain(node, env, "division by zero")
+                return a / b
+            return divide
+
+        def divide(at):
+            a = fa(at)
+            b = fb(at)
+            v = b.f
+            if array:
+                v2, v3 = v * v, np.float_power(v, 3.0)
+                # scalar: DomainError, then ZeroDivisionError or OverflowError
+                _flag((v == 0.0) | (v2 == 0.0) | (v3 == 0.0)
+                      | (np.isinf(v3) & np.isfinite(v)), at[2])
+                return a * b.chain(1.0 / v, -1.0 / v2, 2.0 / v3)
+            if v == 0.0:
+                _domain(node, at, "division by zero")
+            return a * b.chain(1.0 / v, -1.0 / (v * v), 2.0 / (v ** 3))
+        return divide
     if isinstance(node, Pow):
-        return _compile_pow(node, array)
+        return _compile_pow(node, build)
     if isinstance(node, Call):
-        return _compile_call(node, array)
+        return _compile_call(node, build)
     if isinstance(node, Select):
-        return _compile_select(node, array)
+        fl, fr, ft, fo = (_compile(n, build) for n in
+                          (node.cond.left, node.cond.right, node.then,
+                           node.other))
+        op = _COMPARE[node.cond.op]
+
+        def select(at):
+            lhs = fl(at)
+            rhs = fr(at)
+            if not value:
+                lhs, rhs = lhs.f, rhs.f
+            if array:
+                # exact branch boundary: first branch wins
+                x, y, live, env = at
+                take = np.asarray((lhs == rhs) | op(lhs, rhs))
+                then_live, other_live = (m if live is None else live & m
+                                         for m in (take, ~take))
+                return _where(take, ft((x, y, then_live, env)),
+                              fo((x, y, other_live, env)))
+            return (ft if lhs == rhs or op(lhs, rhs) else fo)(at)
+        return select
     raise TypeError(f"cannot evaluate node {node!r}")
 
 
-def _compile_binop(node, array):
-    fa = _compile_jet(node.left, array)
-    fb = _compile_jet(node.right, array)
-    if node.op == "+":
-        return lambda x, y, live: fa(x, y, live) + fb(x, y, live)
-    if node.op == "-":
-        return lambda x, y, live: fa(x, y, live) - fb(x, y, live)
-    if node.op == "*":
-        return lambda x, y, live: fa(x, y, live) * fb(x, y, live)
-
-    def divide(x, y, live):
-        a = fa(x, y, live)
-        b = fb(x, y, live)
-        v = b.f
-        if array:
-            v2, v3 = v * v, np.float_power(v, 3.0)
-            # scalar: DomainError, then ZeroDivisionError or OverflowError
-            _flag((v == 0.0) | (v2 == 0.0) | (v3 == 0.0)
-                  | (np.isinf(v3) & np.isfinite(v)), live)
-            return a * b.chain(1.0 / v, -1.0 / v2, 2.0 / v3)
-        if v == 0.0:
-            _domain(node, (x, y), "division by zero")
-        return a * b.chain(1.0 / v, -1.0 / (v * v), 2.0 / (v ** 3))
-    return divide
-
-
-def _compile_pow(node, array):
-    fu = _compile_jet(node.base, array)
+def _compile_pow(node, build):
+    fu = _compile(node.base, build)
     n = node.exponent
-    if n == 0:
-        one = Jet2(np.float64(1.0) if array else 1.0)
-
-        def power(x, y, live):
-            fu(x, y, live)  # the base's domain errors still apply
-            return one
-        return power
     if n == 1:
         return fu
+    if n == 0:
+        one = _const(1.0, build)
 
-    def power(x, y, live):
-        u = fu(x, y, live)
+        def power(at):
+            fu(at)  # the base's domain errors still apply
+            return one
+        return power
+    if build == "value":
+        return lambda env: fu(env) ** n
+    array = build == "array"
+
+    def power(p):
+        u = fu(p)
         v = u.f
         if array:
             # float_power calls libm's pow, as float ** int does; numpy's
             # power has its own kernels
             vn = np.float_power(v, float(n))
-            _flag(np.isinf(vn) & np.isfinite(v), live)  # float ** overflows
+            _flag(np.isinf(vn) & np.isfinite(v), p[2])  # float ** overflows
             return u.chain(vn, n * np.float_power(v, n - 1.0),
                            n * (n - 1) * np.float_power(v, n - 2.0))
         g1 = n * v ** (n - 1)
@@ -606,72 +652,83 @@ def _compile_pow(node, array):
     return power
 
 
-def _compile_call(node, array):
+def _compile_call(node, build):
     name = node.func
+    value, array = build == "value", build == "array"
     if name in ("min", "max"):
-        fa = _compile_jet(node.args[0], array)
-        fb = _compile_jet(node.args[1], array)
+        fa, fb = (_compile(a, build) for a in node.args)
         # on a tie the first argument wins (documented branch convention)
         first = operator.le if name == "min" else operator.ge
 
-        def pick(x, y, live):
-            a = fa(x, y, live)
-            b = fb(x, y, live)
+        def pick(at):
+            a = fa(at)
+            b = fb(at)
+            if value:
+                return a if first(a, b) else b
             if array:
                 return _where(first(a.f, b.f), a, b)
             return a if first(a.f, b.f) else b
         return pick
-    fu = _compile_jet(node.args[0], array)
+    fu = _compile(node.args[0], build)
+    if value and name in ("sin", "cos", "exp", "abs"):
+        fn = abs if name == "abs" else getattr(math, name)
+        return lambda env: fn(fu(env))
 
     if name in ("sin", "cos"):
         lib = np if array else math
         f, g = (lib.sin, lib.cos) if name == "sin" else (lib.cos, lib.sin)
         negate = name == "cos"  # cos' = -sin
 
-        def trig(x, y, live):
-            u = fu(x, y, live)
+        def trig(p):
+            u = fu(p)
             v = u.f
             if array:
-                _flag(np.isinf(v), live)  # math raises on inf
+                _flag(np.isinf(v), p[2])  # math raises on inf
             s = f(v)
             return u.chain(s, -g(v) if negate else g(v), -s)
         return trig
     if name == "exp":
-        def exp(x, y, live):
-            u = fu(x, y, live)
-            e = _libm(math.exp, u.f, live) if array else math.exp(u.f)
+        def exp(p):
+            u = fu(p)
+            e = _libm(math.exp, u.f, p[2]) if array else math.exp(u.f)
             return u.chain(e, e, e)
         return exp
     if name == "log":
-        def log(x, y, live):
-            u = fu(x, y, live)
-            v = u.f
+        def log(at):
+            u = fu(at)
             if array:
+                v = u.f
                 v2 = v * v
-                _flag((v <= 0.0) | (v2 == 0.0), live)
-                return u.chain(_libm(math.log, v, live), 1.0 / v, -1.0 / v2)
+                _flag((v <= 0.0) | (v2 == 0.0), at[2])
+                return u.chain(_libm(math.log, v, at[2]), 1.0 / v, -1.0 / v2)
+            v = u if value else u.f
             if v <= 0.0:
-                _domain(node, (x, y), f"log of non-positive value {v!r}")
+                _domain(node, at, f"log of non-positive value {v!r}")
+            if value:
+                return math.log(v)
             return u.chain(math.log(v), 1.0 / v, -1.0 / (v * v))
         return log
     if name == "sqrt":
-        def sqrt(x, y, live):
-            u = fu(x, y, live)
-            v = u.f
+        def sqrt(at):
+            u = fu(at)
             if array:
+                v = u.f
                 s = np.sqrt(v)
-                _flag((v <= 0.0) | (s * v == 0.0), live)
+                _flag((v <= 0.0) | (s * v == 0.0), at[2])
                 return u.chain(s, 0.5 / s, -0.25 / (s * v))
+            v = u if value else u.f
             if v < 0.0:
-                _domain(node, (x, y), f"sqrt of negative value {v!r}")
+                _domain(node, at, f"sqrt of negative value {v!r}")
+            if value:
+                return math.sqrt(v)
             if v == 0.0:
-                _domain(node, (x, y), "sqrt not differentiable at 0")
+                _domain(node, at, "sqrt not differentiable at 0")
             s = math.sqrt(v)
             return u.chain(s, 0.5 / s, -0.25 / (s * v))
         return sqrt
     if name == "abs":
-        def absolute(x, y, live):
-            u = fu(x, y, live)
+        def absolute(p):
+            u = fu(p)
             v = u.f
             # sign taken as +1 at 0 (first-branch convention, as for select)
             if array:
@@ -679,117 +736,6 @@ def _compile_call(node, array):
             return u.chain(abs(v), -1.0 if v < 0.0 else 1.0, 0.0)
         return absolute
     raise DomainError(f"unknown function '{name}'")
-
-
-def _compile_select(node, array):
-    fl = _compile_jet(node.cond.left, array)
-    fr = _compile_jet(node.cond.right, array)
-    ft = _compile_jet(node.then, array)
-    fo = _compile_jet(node.other, array)
-    op = _COMPARE[node.cond.op]
-
-    def select(x, y, live):
-        lhs = fl(x, y, live).f
-        rhs = fr(x, y, live).f
-        if array:
-            # exact branch boundary: first branch wins
-            take = np.asarray((lhs == rhs) | op(lhs, rhs))
-            return _where(take, ft(x, y, _restrict(live, take)),
-                          fo(x, y, _restrict(live, ~take)))
-        return (ft if lhs == rhs or op(lhs, rhs) else fo)(x, y, live)
-    return select
-
-
-def eval_value(node, env: Mapping[str, float]) -> float:
-    """Plain numeric evaluation with an arbitrary variable environment."""
-    return _compiled(node, "_value")(env)
-
-
-def _compile_value(node):
-    if isinstance(node, Num):
-        c = node.value
-        return lambda env: c
-    if isinstance(node, Name):
-        if node.name == "pi":
-            return lambda env: math.pi
-        name = node.name
-
-        def lookup(env):
-            try:
-                return float(env[name])
-            except KeyError:
-                raise DomainError(f"variable '{name}' not bound")
-        return lookup
-    if isinstance(node, Neg):
-        fa = _compile_value(node.arg)
-        return lambda env: -fa(env)
-    if isinstance(node, BinOp):
-        fa = _compile_value(node.left)
-        fb = _compile_value(node.right)
-        if node.op == "+":
-            return lambda env: fa(env) + fb(env)
-        if node.op == "-":
-            return lambda env: fa(env) - fb(env)
-        if node.op == "*":
-            return lambda env: fa(env) * fb(env)
-
-        def divide(env):
-            a = fa(env)
-            b = fb(env)
-            if b == 0.0:
-                _domain(node, dict(env), "division by zero")
-            return a / b
-        return divide
-    if isinstance(node, Pow):
-        fa = _compile_value(node.base)
-        n = node.exponent
-        return lambda env: fa(env) ** n
-    if isinstance(node, Call):
-        return _compile_value_call(node)
-    if isinstance(node, Select):
-        fl = _compile_value(node.cond.left)
-        fr = _compile_value(node.cond.right)
-        ft = _compile_value(node.then)
-        fo = _compile_value(node.other)
-        op = _COMPARE[node.cond.op]
-
-        def select(env):
-            lhs = fl(env)
-            rhs = fr(env)
-            return (ft if lhs == rhs or op(lhs, rhs) else fo)(env)
-        return select
-    raise TypeError(f"cannot evaluate node {node!r}")
-
-
-def _compile_value_call(node):
-    args = [_compile_value(a) for a in node.args]
-    name = node.func
-    if name in ("min", "max"):
-        fa, fb = args
-        first = operator.le if name == "min" else operator.ge
-
-        def pick(env):
-            a = fa(env)
-            b = fb(env)
-            return a if first(a, b) else b
-        return pick
-    fa, = args
-    if name == "log":
-        def log(env):
-            v = fa(env)
-            if v <= 0.0:
-                _domain(node, dict(env), f"log of non-positive value {v!r}")
-            return math.log(v)
-        return log
-    if name == "sqrt":
-        def sqrt(env):
-            v = fa(env)
-            if v < 0.0:
-                _domain(node, dict(env), f"sqrt of negative value {v!r}")
-            return math.sqrt(v)
-        return sqrt
-    fn = abs if name == "abs" else getattr(math, name)
-    return lambda env: fn(fa(env))
 
 
 # --- scalar fields ---------------------------------------------------------

@@ -14,7 +14,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import AllStationary, SingularOnCircle, StartsSingular
+from .errors import AllStationary, InputError, SingularOnCircle, StartsSingular
 from .geom import Polyline, build_winding_path, winding_number
 
 SINK = "Sink"
@@ -207,6 +207,8 @@ def classify_singularity(fol: Foliation, z0, radius: float,
     singularities come back Unknown, as does any circle carrying a radial
     component smaller than the strict-sign tolerance.
     """
+    if samples < 64:
+        raise InputError("samples must be >= 64")
     cx, cy = float(z0[0]), float(z0[1])
 
     def probe(s: float):

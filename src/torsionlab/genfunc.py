@@ -204,6 +204,8 @@ def trajectory(iso: GenIsotopy, z, n_samples: int = 65) -> Polyline:
 
 def alt_trajectory(iso: GenIsotopy, z, n_samples: int = 65) -> Polyline:
     """Sampled two-phase trajectory t -> f'_t(z) (includes t = 1/2)."""
+    if n_samples < 64:
+        raise InputError("n_samples must be >= 64")
     ts = np.linspace(0.0, 1.0, n_samples)
     if 0.5 not in ts:
         ts = np.sort(np.append(ts, 0.5))

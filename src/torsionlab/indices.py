@@ -16,7 +16,7 @@ from .errors import (
     CenterNotFixed, FixedPointOnCurve, IdentityCheckFailed, InputError,
     NotFixed, TrajectoryCollision, ZeroVector,
 )
-from .genfunc import GenIsotopy, gf_alt_apply, gf_apply
+from .genfunc import GenIsotopy, gf_apply
 from .geom import TWO_PI, angle_sweep, build_winding_path, winding_number
 
 LESS = "Less"
@@ -87,18 +87,12 @@ def genfunc_isotopy(iso: GenIsotopy, fixed_point_hint=None) -> PlanarIsotopy:
                          provenance="genfunc natural")
 
 
-def genfunc_alt_isotopy(iso: GenIsotopy, fixed_point_hint=None) -> PlanarIsotopy:
-    return PlanarIsotopy(eval=lambda t, z: gf_alt_apply(iso, t, z),
-                         fixed_point_hint=fixed_point_hint,
-                         provenance="genfunc alternate")
-
-
-def expr_isotopy(x_text: str, y_text: str) -> PlanarIsotopy:
-    """Isotopy from a user expression pair in t, x, y."""
+def expr_isotopy(x_expr, y_expr) -> PlanarIsotopy:
+    """Isotopy from a user expression pair in t, x, y (texts or trees)."""
     from .expr import eval_value, parse_expr
 
-    ex = parse_expr(x_text, variables=("t", "x", "y"))
-    ey = parse_expr(y_text, variables=("t", "x", "y"))
+    ex, ey = (parse_expr(e, variables=("t", "x", "y")) if isinstance(e, str)
+              else e for e in (x_expr, y_expr))
 
     def ev(t, z):
         env = {"t": t, "x": z[0], "y": z[1]}
@@ -208,6 +202,8 @@ def isotopy_index(iso: PlanarIsotopy, center, radius: float,
 
 def linking_number(iso: PlanarIsotopy, z0, z1, t_samples: int = 256) -> int:
     """Degree of the normalized difference of two fixed trajectories."""
+    if t_samples < 64:
+        raise InputError("t_samples must be >= 64")
     f1 = iso.time_one()
     for name, z in (("z0", z0), ("z1", z1)):
         w = f1(z)

@@ -13,7 +13,10 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import InputError, NotALift, NotOrientationPreserving, ZeroVector
+from .errors import (
+    IdentityCheckFailed, InputError, NotALift, NotOrientationPreserving,
+    ZeroVector,
+)
 from .genfunc import _newton, _seed_cells
 from .geom import TWO_PI, angle_sweep, build_winding_path
 from .indices import PlanarIsotopy, trajectory_turns
@@ -103,7 +106,7 @@ def isotopy_blowup_rotation(dpath: Callable[[float], np.ndarray],
     """
     D0 = np.asarray(dpath(0.0), dtype=float)
     if not np.allclose(D0, np.eye(2), atol=1e-9):
-        raise ValueError("dpath(0) must be the identity")
+        raise IdentityCheckFailed("dpath(0) must be the identity")
     D1 = np.asarray(dpath(1.0), dtype=float)
     det1 = float(np.linalg.det(D1))
     if det1 <= 0.0:

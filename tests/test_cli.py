@@ -233,6 +233,10 @@ ROTATION = {"schema": 1, "kind": "isotopy",
 BAND = {"schema": 1, "kind": "annulus_map",
         "expressions": {"X": "x+y", "Y": "y"},
         "parameters": {"a": 1.0, "b": 1.0}}
+FULL_TURN = {"schema": 1, "kind": "isotopy",
+             "expressions": {"x": "x*cos(2*pi*t)-y*sin(2*pi*t)",
+                             "y": "x*sin(2*pi*t)+y*cos(2*pi*t)"}}
+LINK = ["--op", "linking", "--z0", "0,0", "--z1", "0.5,0"]
 
 
 @pytest.mark.parametrize("doc, flags", [
@@ -247,9 +251,17 @@ BAND = {"schema": 1, "kind": "annulus_map",
                                    "--region", "a,b,c,d"]),
     ({**GENFUNC, "region": ["a", 1, -1, 1]}, ["--op", "critical-points"]),
     ({**BAND, "parameters": {"a": 2.0, "b": 1.0}}, ["--op", "twist"]),
+    (FULL_TURN, LINK + ["--t-samples", "0"]),
+    (FULL_TURN, LINK + ["--t-samples", "1"]),
+    (GENFUNC, ["--op", "foliation-index", "--samples", "0"]),
+    (GENFUNC, ["--op", "foliation-index", "--samples", "1"]),
+    (GENFUNC, ["--op", "transversality", "--at", "0.1,0.1", "--samples", "0"]),
+    (GENFUNC, ["--op", "transversality", "--at", "0.1,0.1", "--samples", "1"]),
 ], ids=["grid_n", "twist-grid", "lefschetz-samples", "isotopy-samples",
         "levels", "n-max", "not-critical", "region-flag", "region-text",
-        "annulus-a-b"])
+        "annulus-a-b", "linking-t-samples-0", "linking-t-samples-1",
+        "foliation-samples-0", "foliation-samples-1",
+        "transversality-samples-0", "transversality-samples-1"])
 def test_input_errors_exit_two(tmp_path, capsys, doc, flags):
     path = write_scenario(tmp_path, "scenario.json", doc)
     code, out, err = run_cli(capsys, "analyze", "--scenario", path, *flags)
@@ -257,6 +269,36 @@ def test_input_errors_exit_two(tmp_path, capsys, doc, flags):
     assert err.startswith("error: ")
     assert out == ""
     assert "Traceback" not in err
+
+
+def rotation_scenario(turns, center):
+    """Rigid rotation through ``turns`` about ``center`` as expressions."""
+    c, s = f"cos(2*pi*{turns}*t)", f"sin(2*pi*{turns}*t)"
+    dx, dy = f"(x-{center[0]!r})", f"(y-{center[1]!r})"
+    return {"schema": 1, "kind": "isotopy",
+            "expressions": {"x": f"{c}*{dx}-{s}*{dy}+{center[0]!r}",
+                            "y": f"{s}*{dx}+{c}*{dy}+{center[1]!r}"}}
+
+
+@pytest.mark.parametrize("op", ["blowup-rotation", "torsion-low"])
+def test_isotopy_derivative_path_is_exact(tmp_path, capsys, op):
+    # central differences with h = 1e-6 read rho = 0.3000000170001795 here
+    path = write_scenario(tmp_path, "far.json",
+                          rotation_scenario(0.3, (1e4, 1e4)))
+    code, out, _ = run_cli(capsys, "analyze", "--scenario", path,
+                           "--op", op, "--at", "10000,10000")
+    assert code == 0
+    assert json.loads(out)["result"]["rho"] == 0.3
+
+
+@pytest.mark.parametrize("op", ["blowup-rotation", "torsion-low"])
+def test_isotopy_derivative_path_needs_a_fixed_point(tmp_path, capsys, op):
+    path = write_scenario(tmp_path, "rot.json",
+                          rotation_scenario(0.3, (0.0, 0.0)))
+    code, out, _ = run_cli(capsys, "analyze", "--scenario", path,
+                           "--op", op, "--at", "0.5,0.2")
+    assert code == 1
+    assert json.loads(out)["error"]["name"] == "CenterNotFixed"
 
 
 def test_export_leaves_radial(tmp_path, capsys):

@@ -8,8 +8,8 @@ import pytest
 from torsionlab import expr
 from torsionlab.errors import DomainError, ExprSyntaxError, UnknownIdentifier
 from torsionlab.expr import (
-    BinOp, Name, Num, Pow, eval_jet2, eval_value, free_variables, parse_expr,
-    to_text,
+    BinOp, Jet2, Name, Num, Pow, eval_jet2, eval_value, free_variables,
+    parse_expr, to_text,
 )
 
 
@@ -204,14 +204,14 @@ def assert_same_bits(got, want):
     assert np.array_equal(np.signbit(got[real]), np.signbit(want[real]))
 
 
-def scalar_grid(e, xs, ys):
+def scalar_grid(e, xs, ys, env=None):
     """Jet fields from the scalar path, point by point in x-outer order;
     the error of the first failing point, if any."""
     out = {k: np.empty((len(xs), len(ys))) for k in FIELDS}
     for i, x in enumerate(xs.tolist()):
         for j, y in enumerate(ys.tolist()):
             try:
-                jet = eval_jet2(e, x, y)
+                jet = eval_jet2(e, x, y, env)
             except Exception as exc:  # the error itself is what is compared
                 return None, exc
             for k in FIELDS:
@@ -219,17 +219,123 @@ def scalar_grid(e, xs, ys):
     return out, None
 
 
-@pytest.mark.parametrize("text", ARRAY_CORPUS)
-def test_array_jets_equal_scalar_jets(text):
-    e = parse_expr(text)
-    want, err = scalar_grid(e, GRID_X, GRID_Y)
+# subtrees in t alone are folded into constant jets read from env; sqrt(t)
+# at t = 0 has a value but no jet, so it only evaluates when folded
+ENV_CASES = {
+    "t-fold": ("cos(2*pi*t)*x-sin(2*pi*t)*y+select(x<t,log(t)*x^2,sqrt(t)*y)",
+               {"t": 0.3}),
+    "t-fold-sqrt0": ("x*sqrt(t)+max(t,y)+select(t>0.5,log(t),x)", {"t": 0.0}),
+}
+
+
+@pytest.mark.parametrize(
+    "text, env", [(text, None) for text in ARRAY_CORPUS]
+    + list(ENV_CASES.values()), ids=ARRAY_CORPUS + list(ENV_CASES))
+def test_array_jets_equal_scalar_jets(text, env):
+    e = parse_expr(text, variables=("t", "x", "y"))
+    want, err = scalar_grid(e, GRID_X, GRID_Y, env)
     assert err is None
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # dead lanes must not warn
-        jet = eval_jet2(e, GRID_X[:, None], GRID_Y[None, :])
+        jet = eval_jet2(e, GRID_X[:, None], GRID_Y[None, :], env)
     for k in FIELDS:
         assert_same_bits(np.broadcast_to(getattr(jet, k), want[k].shape),
                          want[k])
+
+
+def walk_jet(node, x, y):
+    """Tree walk with the scalar jet operations the compiled jet build
+    performs on trees in x and y, in the same order."""
+    if isinstance(node, Num):
+        return Jet2(node.value)
+    if isinstance(node, Name):
+        return {"pi": Jet2(math.pi), "x": Jet2(x, 1.0, 0.0),
+                "y": Jet2(y, 0.0, 1.0)}[node.name]
+    if isinstance(node, expr.Neg):
+        return -walk_jet(node.arg, x, y)
+
+    def domain(reason):
+        raise DomainError(f"{reason} in '{to_text(node)}' at {(x, y)}")
+
+    if isinstance(node, BinOp):
+        a = walk_jet(node.left, x, y)
+        b = walk_jet(node.right, x, y)
+        if node.op in "+-*":
+            return {"+": a.__add__, "-": a.__sub__, "*": a.__mul__}[node.op](b)
+        v = b.f
+        if v == 0.0:
+            domain("division by zero")
+        return a * b.chain(1.0 / v, -1.0 / (v * v), 2.0 / (v ** 3))
+    if isinstance(node, Pow):
+        u = walk_jet(node.base, x, y)
+        n = node.exponent
+        if n < 2:
+            return u if n == 1 else Jet2(1.0)
+        v = u.f
+        g1 = n * v ** (n - 1)
+        g2 = n * (n - 1) * v ** (n - 2)
+        return u.chain(v ** n, g1, g2)
+    if isinstance(node, expr.Select):
+        lhs = walk_jet(node.cond.left, x, y).f
+        rhs = walk_jet(node.cond.right, x, y).f
+        take = lhs == rhs or {
+            "<": lhs < rhs, "<=": lhs <= rhs, ">": lhs > rhs,
+            ">=": lhs >= rhs, "==": lhs == rhs, "!=": lhs != rhs}[node.cond.op]
+        return walk_jet(node.then if take else node.other, x, y)
+    args = [walk_jet(a, x, y) for a in node.args]
+    if node.func in ("min", "max"):
+        a, b = args
+        first = a.f <= b.f if node.func == "min" else a.f >= b.f
+        return a if first else b
+    u, = args
+    v = u.f
+    if node.func == "sin":
+        s = math.sin(v)
+        return u.chain(s, math.cos(v), -s)
+    if node.func == "cos":
+        s = math.cos(v)
+        return u.chain(s, -math.sin(v), -s)
+    if node.func == "exp":
+        e = math.exp(v)
+        return u.chain(e, e, e)
+    if node.func == "log":
+        if v <= 0.0:
+            domain(f"log of non-positive value {v!r}")
+        return u.chain(math.log(v), 1.0 / v, -1.0 / (v * v))
+    if node.func == "sqrt":
+        if v < 0.0:
+            domain(f"sqrt of negative value {v!r}")
+        if v == 0.0:
+            domain("sqrt not differentiable at 0")
+        s = math.sqrt(v)
+        return u.chain(s, 0.5 / s, -0.25 / (s * v))
+    return u.chain(abs(v), -1.0 if v < 0.0 else 1.0, 0.0)
+
+
+ERROR_CORPUS = [
+    "x-(1/y)", "log(x)", "sqrt(y)", "x^2+sqrt(x+y)",
+    # a later node fails at an earlier point than the first node does
+    "1/(x-0.5)+log(y+0.5)", "select(x>1,log(y),0)+select(y>1,1/x,0)",
+    "exp(400*x)", "sin(x*1e308*10)", "(x*1e120)^3", "1/(y*1e120)",
+    "1/(y*1e-120+2e-120)", "log(y*1e-200+2e-200)", "sqrt(y*1e-300+2e-300)",
+]
+
+
+@pytest.mark.parametrize("text", ARRAY_CORPUS + ERROR_CORPUS)
+def test_scalar_jets_equal_tree_walk(text):
+    e = parse_expr(text)
+    for x in GRID_X.tolist():
+        for y in GRID_Y.tolist():
+            try:
+                want = walk_jet(e, x, y)
+            except Exception as exc:  # the error itself is what is compared
+                with pytest.raises(type(exc)) as got:
+                    eval_jet2(e, x, y)
+                assert str(got.value) == str(exc)
+                continue
+            got = eval_jet2(e, x, y)
+            for k in FIELDS:
+                assert_same_bits(getattr(got, k), getattr(want, k))
 
 
 def test_array_jets_on_random_points_and_field():
@@ -243,13 +349,7 @@ def test_array_jets_on_random_points_and_field():
             assert_same_bits(getattr(jet, k)[i], getattr(want, k))
 
 
-@pytest.mark.parametrize("text", [
-    "x-(1/y)", "log(x)", "sqrt(y)", "x^2+sqrt(x+y)",
-    # a later node fails at an earlier point than the first node does
-    "1/(x-0.5)+log(y+0.5)", "select(x>1,log(y),0)+select(y>1,1/x,0)",
-    "exp(400*x)", "sin(x*1e308*10)", "(x*1e120)^3", "1/(y*1e120)",
-    "1/(y*1e-120+2e-120)", "log(y*1e-200+2e-200)", "sqrt(y*1e-300+2e-300)",
-])
+@pytest.mark.parametrize("text", ERROR_CORPUS)
 def test_array_errors_match_the_first_scalar_error(text):
     e = parse_expr(text)
     _, want = scalar_grid(e, GRID_X, GRID_Y)
@@ -349,3 +449,34 @@ def test_compiled_values_equal_tree_walk(text):
                 eval_value(e, env)
             continue
         assert_same_bits(eval_value(e, env), want)
+
+
+# closed-form (d/dx, d/dy) of the rotation and expm entries above
+CLOSED_FORM_ROWS = {
+    ISOTOPY_CORPUS[0]: lambda t: (math.cos(2 * math.pi * t),
+                                  -math.sin(2 * math.pi * t)),
+    ISOTOPY_CORPUS[1]: lambda t: (math.sin(2 * math.pi * t),
+                                  math.cos(2 * math.pi * t)),
+    ISOTOPY_CORPUS[7]: lambda t: (math.cos(6 * math.pi * t),
+                                  -math.sin(6 * math.pi * t)),
+    ISOTOPY_CORPUS[8]: lambda t: (
+        math.cosh(0.7 * t) + 0.3 * math.sinh(0.7 * t) / 0.7,
+        -0.2 * math.sinh(0.7 * t) / 0.7),
+    ISOTOPY_CORPUS[9]: lambda t: (
+        0.9 * math.sin(1.3 * t) / 1.3,
+        math.cos(1.3 * t) - 0.4 * math.sin(1.3 * t) / 1.3),
+}
+
+
+@pytest.mark.parametrize("text", list(CLOSED_FORM_ROWS))
+def test_isotopy_jets_match_closed_form_jacobians(text):
+    e = parse_expr(text, variables=("t", "x", "y"))
+    row = CLOSED_FORM_ROWS[text]
+    for t in np.linspace(0.0, 1.0, 33).tolist():
+        for x, y in ((0.0, 0.0), (0.3, -0.7), (1e4, 1e4)):
+            jet = eval_jet2(e, x, y, {"t": t})
+            want = row(t)
+            assert abs(jet.fx - want[0]) <= 1e-12
+            assert abs(jet.fy - want[1]) <= 1e-12
+            assert jet.fxx == jet.fxy == jet.fyy == 0.0
+            assert jet.f == eval_value(e, {"t": t, "x": x, "y": y})

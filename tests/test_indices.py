@@ -5,7 +5,7 @@ from torsionlab.errors import (
     CenterNotFixed, FixedPointOnCurve, IdentityCheckFailed, NotFixed,
     TrajectoryCollision,
 )
-from torsionlab.expr import ExprField
+from torsionlab.expr import ExprField, parse_expr
 from torsionlab.foliate import gradient_foliation
 from torsionlab.genfunc import GenIsotopy
 from torsionlab.indices import (
@@ -138,6 +138,8 @@ def test_compare_isotopies_rotation_composition():
 def test_expr_isotopy_round_trip():
     iso = expr_isotopy("x+t*y", "y")
     assert iso.eval(1.0, (0.0, 2.0)) == pytest.approx((2.0, 2.0))
+    tree = expr_isotopy(parse_expr("x+t*y", variables=("t", "x", "y")), "y")
+    assert tree.eval(0.5, (0.3, 2.0)) == iso.eval(0.5, (0.3, 2.0))
     scaled = expr_isotopy("(1+t)*x", "(1+t)*y")
     assert isotopy_index(scaled, (0.0, 0.0), 0.3) == \
         isotopy_index(homothety_isotopy(), (0.0, 0.0), 0.3) == 0

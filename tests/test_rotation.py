@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from torsionlab.errors import NotALift, NotOrientationPreserving
+from torsionlab.errors import (
+    IdentityCheckFailed, NotALift, NotOrientationPreserving,
+)
 from torsionlab.expr import ExprField
 from torsionlab.genfunc import GenIsotopy, alt_jacobian_path, jacobian_path
 from torsionlab.geom import circle_rotation_number
@@ -250,6 +252,11 @@ def test_torsion_trichotomy_against_eigen_oracle():
             assert torsion_low_classify(dpath).case_tag in (
                 CASE_POSITIVE_SADDLE, CASE_OTHER)
         done += 1
+
+
+def test_blowup_rotation_needs_identity_at_zero():
+    with pytest.raises(IdentityCheckFailed):
+        isotopy_blowup_rotation(lambda t: (2.0 + t) * np.eye(2))
 
 
 def test_annulus_lift_validation():
