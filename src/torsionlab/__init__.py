@@ -10,7 +10,7 @@ from .geom import (
 from .genfunc import (
     CriticalPoint, GenIsotopy, PolynomialField, alt_trajectory,
     find_critical_points, gf_alt_apply, gf_apply, gf_jacobian, jacobian_path,
-    alt_jacobian_path, trajectory, verify_twist_bound,
+    alt_jacobian_path, verify_twist_bound,
 )
 from .foliate import (
     Foliation, SingularityReport, TransversalityReport, classify_singularity,

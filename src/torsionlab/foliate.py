@@ -52,12 +52,16 @@ def gradient_foliation(field) -> Foliation:
 
 
 def expression_foliation(p_expr, q_expr) -> Foliation:
-    """Foliation from a user expression pair (p(x, y), q(x, y))."""
-    from .expr import ExprField
+    """Foliation from a user expression pair (p(x, y), q(x, y)).
 
-    p = ExprField(p_expr) if isinstance(p_expr, str) else p_expr
-    q = ExprField(q_expr) if isinstance(q_expr, str) else q_expr
-    return Foliation(direction=lambda x, y: (p.jet2(x, y).f, q.jet2(x, y).f))
+    Directions are values, not jets: sqrt(y^2) is a valid field on y = 0.
+    """
+    from .expr import ExprField, eval_value
+
+    p, q = (e.expr if isinstance(e, ExprField) else ExprField(e).expr
+            for e in (p_expr, q_expr))
+    return Foliation(direction=lambda x, y: (
+        eval_value(p, {"x": x, "y": y}), eval_value(q, {"x": x, "y": y})))
 
 
 def integrate_leaf(fol: Foliation, z0, step: float, max_len: float,

@@ -195,13 +195,6 @@ def gf_alt_apply(iso: GenIsotopy, t: float, z) -> tuple:
     return (X, y + (2.0 * t - 1.0) * (Y - y))
 
 
-def trajectory(iso: GenIsotopy, z, n_samples: int = 65) -> Polyline:
-    """Sampled natural trajectory t -> f_t(z)."""
-    ts = np.linspace(0.0, 1.0, n_samples)
-    pts = np.array([gf_apply(iso, t, z) for t in ts])
-    return Polyline(params=ts, points=pts)
-
-
 def alt_trajectory(iso: GenIsotopy, z, n_samples: int = 65) -> Polyline:
     """Sampled two-phase trajectory t -> f'_t(z) (includes t = 1/2)."""
     if n_samples < 64:

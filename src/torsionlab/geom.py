@@ -24,6 +24,10 @@ TWO_PI = 2.0 * math.pi
 # integer rounding with residue tolerance 0.1 stays sound
 MAX_ANGLE_STEP = 0.5 * math.pi
 
+_MAX_DEPTH = 40  # bisections of one winding-path segment
+_SWEEP_TOL = 1e-9  # radians between consecutive angle_sweep totals
+_SWEEP_MAX_DOUBLINGS = 10
+
 
 @dataclass
 class WindingPath:
@@ -63,8 +67,7 @@ def _wrap_pi(a: float) -> float:
 
 def build_winding_path(vectors: Sequence, closed: bool = False,
                        refiner: Optional[Callable[[float], tuple]] = None,
-                       params: Optional[Sequence[float]] = None,
-                       max_depth: int = 40) -> WindingPath:
+                       params: Optional[Sequence[float]] = None) -> WindingPath:
     """Lift the angle of a vector path, bisecting with ``refiner`` until
     every consecutive lifted step is below pi/2.
 
@@ -102,7 +105,7 @@ def build_winding_path(vectors: Sequence, closed: bool = False,
 
     for k in range(len(vecs) - 1):
         _refine_segment(out_v, out_p, out_lift, vecs[k], ps[k], vecs[k + 1],
-                        ps[k + 1], refiner, max_depth)
+                        ps[k + 1], refiner, _MAX_DEPTH)
 
     return WindingPath(samples=np.asarray(out_v, dtype=float),
                        params=np.asarray(out_p, dtype=float),
@@ -141,9 +144,7 @@ def winding_number(p: WindingPath) -> int:
     return int(nearest)
 
 
-def angle_sweep(vec_fn: Callable[[float], tuple], n0: int = 64,
-                tol: float = 1e-9, max_doublings: int = 10,
-                max_depth: int = 40) -> float:
+def angle_sweep(vec_fn: Callable[[float], tuple], n0: int = 64) -> float:
     """Total swept angle (radians) of ``vec_fn(s)`` for s in [0, 1].
 
     Besides the local < pi/2 refinement this doubles the base grid until two
@@ -152,18 +153,18 @@ def angle_sweep(vec_fn: Callable[[float], tuple], n0: int = 64,
     """
     prev = None
     n = n0
-    for _ in range(max_doublings):
+    for _ in range(_SWEEP_MAX_DOUBLINGS):
         vecs = [vec_fn(i / n) for i in range(n + 1)]
         path = build_winding_path(vecs, closed=False, refiner=vec_fn,
-                                  params=[i / n for i in range(n + 1)],
-                                  max_depth=max_depth)
+                                  params=[i / n for i in range(n + 1)])
         total = path.lift[-1] - path.lift[0]
-        if prev is not None and abs(total - prev) <= tol:
+        if prev is not None and abs(total - prev) <= _SWEEP_TOL:
             return total
         prev = total
         n *= 2
     raise RefinementExhausted(
-        f"swept angle did not stabilize below {tol} after {max_doublings} doublings")
+        f"swept angle did not stabilize below {_SWEEP_TOL} after "
+        f"{_SWEEP_MAX_DOUBLINGS} doublings")
 
 
 def circle_rotation_number(lift: Callable[[float], float], n_iter: int,

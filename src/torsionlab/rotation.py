@@ -15,10 +15,9 @@ import numpy as np
 
 from .errors import (
     IdentityCheckFailed, InputError, NotALift, NotOrientationPreserving,
-    ZeroVector,
 )
 from .genfunc import _newton, _seed_cells
-from .geom import TWO_PI, angle_sweep, build_winding_path
+from .geom import TWO_PI, angle_sweep
 from .indices import PlanarIsotopy, trajectory_turns
 
 TORSION_LOW = "TorsionLow"
@@ -31,9 +30,11 @@ CASE_POSITIVE_SADDLE = "PositiveSaddle"
 CASE_OTHER = "Other"
 
 _EIG_IMAG_TOL = 1e-12
+_DEGENERATE_TOL = 1e-8  # |det(D1 - I)| at or below this is degenerate
+_BLOWUP_N0 = 256  # base grid of the anchor's angle sweep
 
 
-def _eigen_case(A: np.ndarray, degenerate_tol: float = 1e-8):
+def _eigen_case(A: np.ndarray):
     """(case_tag, data) for a 2x2 matrix with positive determinant."""
     ev = np.linalg.eigvals(np.asarray(A, dtype=float))
     if max(abs(ev[0].imag), abs(ev[1].imag)) > _EIG_IMAG_TOL:
@@ -71,38 +72,13 @@ def linear_blowup_rotation(A) -> float:
     return 0.0  # positive real eigenvalues fix a direction
 
 
-def projective_lift(A, anchor_turns: float, n_grid: int = 512):
-    """Lift of the circle map of A pinned by h(0) = anchor_turns.
-
-    Returns (xs, hs): grid of base angles in [0, 1] and lifted images in
-    turns, tracked continuously in the base angle.
-    """
-    A = np.asarray(A, dtype=float)
-
-    def vec(s):
-        a = TWO_PI * s
-        w = A @ (math.cos(a), math.sin(a))
-        if math.hypot(w[0], w[1]) <= 0.0:
-            raise ZeroVector(s)
-        return (float(w[0]), float(w[1]))
-
-    xs = [i / n_grid for i in range(n_grid + 1)]
-    path = build_winding_path([vec(x) for x in xs], closed=False,
-                              refiner=vec, params=xs)
-    base = path.lift / TWO_PI
-    offset = anchor_turns - base[0]
-    return np.asarray(path.params), base + offset
-
-
-def isotopy_blowup_rotation(dpath: Callable[[float], np.ndarray],
-                            n0: int = 256) -> float:
+def isotopy_blowup_rotation(dpath: Callable[[float], np.ndarray]) -> float:
     """Real-valued rotation number of the derivative path of an isotopy.
 
     Tracks the angle of dpath(t) e1 continuously from t = 0 (where dpath
-    must be the identity), anchors the lift of the projectivized time-one
-    map with it, and selects the representative of the mod-1 class inside
-    the lift's displacement range (whose width is below 1 for a circle
-    homeomorphism).
+    must be the identity) to the anchor h(0), the isotopy's lift of the
+    projectivized time-one map evaluated at 0, and returns the
+    representative of the analytic mod-1 class nearest to it.
     """
     D0 = np.asarray(dpath(0.0), dtype=float)
     if not np.allclose(D0, np.eye(2), atol=1e-9):
@@ -116,23 +92,13 @@ def isotopy_blowup_rotation(dpath: Callable[[float], np.ndarray],
         M = np.asarray(dpath(t), dtype=float)
         return (float(M[0, 0]), float(M[1, 0]))  # image of e1
 
-    anchor = angle_sweep(vec, n0=n0) / TWO_PI
-    xs, hs = projective_lift(D1, anchor)
-    disp = hs - xs
-    lo, hi = float(disp.min()), float(disp.max())
+    anchor = angle_sweep(vec, n0=_BLOWUP_N0) / TWO_PI
     cls = linear_blowup_rotation(D1)
-    k_lo = math.ceil(lo - cls - 0.02)
-    k_hi = math.floor(hi - cls + 0.02)
-    if k_lo > k_hi:
-        raise ArithmeticError(
-            f"no representative of class {cls} in displacement range "
-            f"[{lo:.6f}, {hi:.6f}]")
-    if k_hi > k_lo:
-        # the displacement range of a homeomorphism lift has width < 1, so
-        # two candidates can only appear through the safety margin
-        k_lo = round((lo + hi) / 2.0 - cls)
-        k_hi = k_lo
-    return cls + k_lo
+    # det D1 > 0 makes the lift h increasing, and D1(-v) = -D1 v gives
+    # h(s + 1/2) = h(s) + 1/2, so h(s) - s varies by less than 1/2; both
+    # rho and the anchor h(0) lie in that range, so exactly one
+    # representative of the class lies within 1/2 of the anchor
+    return cls + round(anchor - cls)
 
 
 def compose_turn(dpath: Callable[[float], np.ndarray], turns: float = 1.0):
@@ -278,8 +244,8 @@ class TorsionVerdict:
     case_tag: str
 
 
-def torsion_low_classify(dpath: Callable[[float], np.ndarray],
-                         degenerate_tol: float = 1e-8) -> TorsionVerdict:
+def torsion_low_classify(
+        dpath: Callable[[float], np.ndarray]) -> TorsionVerdict:
     """Classify a fixed point's derivative isotopy by its rotation number.
 
     The verdict is TorsionLow when rho lies in [-1, 1] (strict when the
@@ -288,9 +254,9 @@ def torsion_low_classify(dpath: Callable[[float], np.ndarray],
     """
     rho = isotopy_blowup_rotation(dpath)
     D1 = np.asarray(dpath(1.0), dtype=float)
-    degenerate = abs(float(np.linalg.det(D1 - np.eye(2)))) <= degenerate_tol
+    degenerate = abs(float(np.linalg.det(D1 - np.eye(2)))) <= _DEGENERATE_TOL
     case, _ = _eigen_case(D1)
-    if degenerate and abs(abs(rho) - 1.0) <= degenerate_tol:
+    if degenerate and abs(abs(rho) - 1.0) <= _DEGENERATE_TOL:
         cls = INCONCLUSIVE
     elif degenerate:
         cls = TORSION_LOW if -1.0 <= rho <= 1.0 else NOT_TORSION_LOW

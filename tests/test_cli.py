@@ -323,6 +323,24 @@ def test_export_leaves_radial(tmp_path, capsys):
         assert abs(a0 - a1) < 1e-6
 
 
+def test_export_leaves_where_the_field_has_no_derivative(tmp_path, capsys):
+    # leaf 0 starts on y = 0, where sqrt(y^2) has the value 0 but no
+    # derivative: directions are values, so the leaf is traced
+    path = write_scenario(tmp_path, "sqrt.json", {
+        "schema": 1, "kind": "vector_field",
+        "expressions": {"p": "sqrt(y^2)+1", "q": "x"},
+    })
+    out_path = tmp_path / "leaves.csv"
+    code, _, err = run_cli(capsys, "export", "--scenario", path,
+                           "--leaves", "4", "--out", str(out_path))
+    assert code == 0, err
+    rows = [line.split(",") for line in
+            out_path.read_text().strip().splitlines()[1:]]
+    assert {r[0] for r in rows} == {"0", "1", "2", "3"}
+    first = next(r for r in rows if r[0] == "0")
+    assert (float(first[2]), float(first[3])) == (0.25, 0.0)
+
+
 def test_export_orbit_powers_of_two(tmp_path, capsys):
     out_path = tmp_path / "orbit.csv"
     code, _, _ = run_cli(capsys, "export", "--fixture", "ex1_homothety",

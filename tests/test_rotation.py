@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -8,13 +9,15 @@ from torsionlab.errors import (
 )
 from torsionlab.expr import ExprField
 from torsionlab.genfunc import GenIsotopy, alt_jacobian_path, jacobian_path
-from torsionlab.geom import circle_rotation_number
+from torsionlab.geom import (
+    angle_sweep, build_winding_path, circle_rotation_number,
+)
 from torsionlab.indices import identity_isotopy, rotation_isotopy
 from torsionlab.rotation import (
     CASE_COMPLEX, CASE_NEGATIVE_PAIR, CASE_OTHER, CASE_POSITIVE_SADDLE,
     NOT_TORSION_LOW, TORSION_LOW, AnnulusLiftMap, compose_turn,
     isotopy_blowup_rotation, linear_blowup_rotation,
-    local_rotation_set_estimate, projective_lift, rotation_samples,
+    local_rotation_set_estimate, rotation_samples,
     torsion_low_classify, twist_check_and_search,
 )
 
@@ -57,6 +60,103 @@ def expm2(L):
     return math.exp(a) * core
 
 
+# --- the blow-up rotation number against the removed projective lift --------
+
+def reference_lift(A, anchor_turns, n_grid=512):
+    """The projective lift that anchor rounding replaced: the circle map
+    of A on 513 base angles in [0, 1], bisected below pi/2 steps and
+    pinned by h(0) = anchor_turns; returns (base angles, images) in turns.
+    """
+    A = np.asarray(A, dtype=float)
+
+    def vec(s):
+        a = TWO_PI * s
+        w = A @ (math.cos(a), math.sin(a))
+        return (float(w[0]), float(w[1]))
+
+    xs = [i / n_grid for i in range(n_grid + 1)]
+    path = build_winding_path([vec(x) for x in xs], closed=False,
+                              refiner=vec, params=xs)
+    base = path.lift / TWO_PI
+    return np.asarray(path.params), base + (anchor_turns - base[0])
+
+
+def reference_blowup_rotation(dpath):
+    """The representative search that anchor rounding replaced: the class
+    plus the k inside the reference lift's displacement range, with 0.02
+    margins and the range midpoint breaking a tie.
+    """
+    D1 = np.asarray(dpath(1.0), dtype=float)
+    anchor = angle_sweep(lambda t: tuple(np.asarray(dpath(t))[:, 0].tolist()),
+                         n0=256) / TWO_PI
+    xs, hs = reference_lift(D1, anchor)
+    disp = hs - xs
+    lo, hi = float(disp.min()), float(disp.max())
+    cls = linear_blowup_rotation(D1)
+    k_lo = math.ceil(lo - cls - 0.02)
+    k_hi = math.floor(hi - cls + 0.02)
+    assert k_lo <= k_hi, f"no representative of {cls} in [{lo}, {hi}]"
+    if k_hi > k_lo:
+        k_lo = round((lo + hi) / 2.0 - cls)
+    return cls + k_lo
+
+
+def shear_path(s, lower):
+    if lower:
+        return lambda t: np.array([[1.0, 0.0], [s * t, 1.0]])
+    return lambda t: np.array([[1.0, s * t], [0.0, 1.0]])
+
+
+def traceless_exp_path(L):
+    """t -> exp(tL) for traceless L: cos/cosh(mu t) I + sin/sinh(mu t)/mu L
+    with mu^2 = -det L (a cheaper path than expm2 with the same draws)."""
+    (a, b), (c, _) = L
+    mu2 = a * a + b * c
+    mu = math.sqrt(abs(mu2))
+
+    def dpath(t):
+        if mu == 0.0:
+            p, q = 1.0, t
+        elif mu2 < 0.0:
+            p, q = math.cos(mu * t), math.sin(mu * t) / mu
+        else:
+            p, q = math.cosh(mu * t), math.sinh(mu * t) / mu
+        return np.array([[p + q * a, q * b], [q * c, p - q * a]])
+
+    return dpath
+
+
+def reference_corpus():
+    """(id, dpath): the trichotomy draws, half and full closing turns on
+    the first 60 of them, rigid rotations bare and with -2 closing turns,
+    and shears up to 1e3, bare and with a closing half turn."""
+    for i, L in enumerate(trichotomy_draws()):
+        dpath = traceless_exp_path(L)
+        yield f"draw{i}", dpath
+        if i < 60:
+            yield f"draw{i}+0.5", compose_turn(dpath, 0.5)
+            yield f"draw{i}+1", compose_turn(dpath, 1.0)
+    for turns in np.linspace(-3.3, 3.3, 23):
+        yield f"rot{turns:.2f}", rot_path(turns)
+        yield f"rot{turns:.2f}-2", compose_turn(rot_path(turns), -2.0)
+    for s in (1.0, -1.0, 10.0, -10.0, 1e3, -1e3):
+        for lower in (False, True):
+            yield f"shear{s:g}{'L' if lower else 'U'}", shear_path(s, lower)
+            yield (f"shear{s:g}{'L' if lower else 'U'}+0.5",
+                   compose_turn(shear_path(s, lower), 0.5))
+
+
+@pytest.mark.slow
+def test_blowup_rotation_equals_reference_lift():
+    n = 0
+    for name, dpath in reference_corpus():
+        dpath = functools.lru_cache(maxsize=None)(dpath)  # one sweep's values
+        got = isotopy_blowup_rotation(dpath)
+        assert got.hex() == reference_blowup_rotation(dpath).hex(), name
+        n += 1
+    assert n == 500 + 120 + 46 + 24
+
+
 def test_linear_blowup_rotation_examples():
     assert linear_blowup_rotation(rot(TWO_PI * 0.3)) == pytest.approx(0.3)
     assert linear_blowup_rotation(np.diag([2.0, 0.5])) == 0.0
@@ -88,8 +188,7 @@ def test_linear_blowup_confirmed_by_circle_iteration():
         alpha = rng.uniform(0.1, 0.9)
         P = random_conjugator(rng)
         A = P @ rot(TWO_PI * alpha) @ np.linalg.inv(P)
-        xs, hs = projective_lift(A, anchor_turns=None if False else
-                                 math.atan2(A[1, 0], A[0, 0]) / TWO_PI)
+        xs, hs = reference_lift(A, math.atan2(A[1, 0], A[0, 0]) / TWO_PI)
         F = lambda x: math.floor(x) + np.interp(x - math.floor(x), xs, hs)
         got = circle_rotation_number(F, 2000) % 1.0
         want = linear_blowup_rotation(A)
@@ -231,14 +330,18 @@ def test_torsion_negative_pair_case():
     assert v.classification == TORSION_LOW
 
 
+def trichotomy_draws():
+    """500 traceless generators L (det expm = 1), rng 41."""
+    rng = np.random.default_rng(41)
+    for _ in range(500):
+        L = rng.uniform(-1.5, 1.5, size=(2, 2))
+        L[1, 1] = -L[0, 0]
+        yield L
+
+
 @pytest.mark.slow
 def test_torsion_trichotomy_against_eigen_oracle():
-    rng = np.random.default_rng(41)
-    done = 0
-    while done < 500:
-        L = rng.uniform(-1.5, 1.5, size=(2, 2))
-        L[1, 1] = -L[0, 0]  # traceless: det expm = 1
-        A = expm2(L)
+    for L in trichotomy_draws():
         ev = np.linalg.eigvals(L)
         dpath = lambda t: expm2(t * L)
         rho = isotopy_blowup_rotation(dpath)
@@ -251,7 +354,6 @@ def test_torsion_trichotomy_against_eigen_oracle():
             assert rho == pytest.approx(0.0, abs=1e-8)
             assert torsion_low_classify(dpath).case_tag in (
                 CASE_POSITIVE_SADDLE, CASE_OTHER)
-        done += 1
 
 
 def test_blowup_rotation_needs_identity_at_zero():
