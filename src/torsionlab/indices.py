@@ -14,10 +14,11 @@ from typing import Callable, Optional
 
 from .errors import (
     CenterNotFixed, FixedPointOnCurve, IdentityCheckFailed, InputError,
-    NotFixed, TrajectoryCollision, ZeroVector,
+    NotFixed, RefinementExhausted, TrajectoryCollision, ZeroVector,
 )
 from .genfunc import GenIsotopy, gf_apply
 from .geom import TWO_PI, angle_sweep, build_winding_path, winding_number
+from .geom import _SWEEP_MAX_DOUBLINGS, _SWEEP_TOL
 
 LESS = "Less"
 GREATER = "Greater"
@@ -134,11 +135,52 @@ def trajectory_turns(iso: PlanarIsotopy, z, center, n0: int = 64) -> float:
     return angle_sweep(vec, n0=n0) / TWO_PI
 
 
+def _circle_turns(iso: PlanarIsotopy, center, r: float, m: int) -> list:
+    """Turns F(z(i/m)), i < m, on z(s) = c + r e^{2 pi i s}: as the isotopy
+    fixes c, F(z(s)) = F(z(0)) + (L(s) - L(0))/2pi - s, L the lifted angle
+    of f_1(z(s)) - c.  L doubles from >= 64 samples until two lifts agree
+    at shared samples, must close after one turn and meet a sweep at 1/2."""
+    cx, cy = center
+
+    def point(s):
+        a = TWO_PI * s
+        return (cx + r * math.cos(a), cy + r * math.sin(a))
+
+    def vec(s):
+        w = iso.eval(1.0, point(s))
+        return (w[0] - cx, w[1] - cy)
+
+    where = f"the circle of radius {r!r} about {center}"
+    n, prev = m * math.ceil(64 / m), None
+    for _ in range(_SWEEP_MAX_DOUBLINGS):
+        ps = [i / n for i in range(n)]
+        path = build_winding_path([vec(s) for s in ps], closed=True,
+                                  refiner=vec, params=ps)
+        lift = [*path.lift[path.params.searchsorted(ps)], path.lift[-1]]
+        if prev and all(abs(a - b) <= _SWEEP_TOL
+                        for a, b in zip(lift[::2], prev)):
+            break
+        prev, n = lift, 2 * n
+    else:
+        raise RefinementExhausted(f"lift of f_1 did not stabilize on {where}")
+    if winding_number(path) != 1:
+        raise RefinementExhausted(f"f_1 does not wind once on {where}")
+    turns = [(x - lift[0]) / TWO_PI - i / n for i, x in enumerate(lift)]
+    f0 = trajectory_turns(iso, point(0.0), center)
+    if abs(f0 + turns[n // 2] - trajectory_turns(iso, point(0.5), center)) > 1e-6:
+        raise RefinementExhausted(f"sweep at s = 1/2 disagrees on {where}")
+    return [f0 + float(t) for t in turns[:n:n // m]]
+
+
 def _check_center_fixed(iso: PlanarIsotopy, center, t_grid: int = 33):
     cx, cy = float(center[0]), float(center[1])
     for k in range(t_grid):
         t = k / (t_grid - 1)
-        w = iso.eval(t, (cx, cy))
+        try:
+            w = iso.eval(t, (cx, cy))
+        except ArithmeticError as exc:
+            raise CenterNotFixed(
+                f"isotopy undefined at the center at t = {t:.4f}") from exc
         if math.hypot(w[0] - cx, w[1] - cy) > 1e-9:
             raise CenterNotFixed(f"center moves at t = {t:.4f}")
 
@@ -174,27 +216,28 @@ def isotopy_index(iso: PlanarIsotopy, center, radius: float,
     """Degree of the lifted time-one displacement along a fundamental path.
 
     The lift of f_1 to the annular cover of the punctured disk is obtained
-    by tracking eval(t, .) continuously in t from the identity.
+    by tracking eval(t, .) continuously in t from the identity; the turns
+    at the samples are continued along the circle (``_circle_turns``).
     """
     if samples < 64:
         raise InputError("samples must be >= 64")
     _check_center_fixed(iso, center)
     cx, cy = float(center[0]), float(center[1])
-    f1 = iso.time_one()
+    turns = _circle_turns(iso, (cx, cy), radius, samples)
 
-    def cover_disp(s):
+    def cover_disp(s, dtheta=None):
         a = TWO_PI * s
         z = (cx + radius * math.cos(a), cy + radius * math.sin(a))
-        w = f1(z)
-        dtheta = trajectory_turns(iso, z, (cx, cy))
-        r_new = math.hypot(w[0] - cx, w[1] - cy)
-        v = (dtheta, radius - r_new)
+        w = iso.eval(1.0, z)
+        if dtheta is None:  # a refinement midpoint
+            dtheta = trajectory_turns(iso, z, (cx, cy))
+        v = (dtheta, radius - math.hypot(w[0] - cx, w[1] - cy))
         # a fixed point of the lift is a planar fixed point with zero turn
         if math.hypot(v[0], v[1]) < 1e-10:
             raise FixedPointOnCurve(s)
         return v
 
-    vecs = [cover_disp(i / samples) for i in range(samples)]
+    vecs = [cover_disp(i / samples, turns[i]) for i in range(samples)]
     path = build_winding_path(vecs, closed=True, refiner=cover_disp,
                               params=[i / samples for i in range(samples)])
     return winding_number(path)
@@ -236,34 +279,24 @@ def compare_isotopies(iso: PlanarIsotopy, other: PlanarIsotopy, center,
     """Pointwise comparison of the lifted first coordinates on a cover grid.
 
     Verdicts are relative to the sampled grid; the underlying preorder
-    quantifies over all points of a small punctured disk.
+    quantifies over all points of a small punctured disk.  Each row y is
+    the circle of radius -y, continued by ``_circle_turns``.
     """
     _check_center_fixed(iso, center)
     _check_center_fixed(other, center)
-    cx, cy = float(center[0]), float(center[1])
-    has_less = has_greater = False
-    witness = None
-    for i in range(grid):
-        theta = i / grid
-        for j in range(grid):
-            y = -radius * (j + 0.5) / grid
-            a = TWO_PI * theta
-            z = (cx - y * math.cos(a), cy - y * math.sin(a))
-            d = trajectory_turns(iso, z, (cx, cy)) - \
-                trajectory_turns(other, z, (cx, cy))
-            if d > tol and not has_greater:
-                has_greater = True
-                witness = witness or (theta, y)
-            elif d < -tol and not has_less:
-                has_less = True
-                witness = witness or (theta, y)
-    if has_less and has_greater:
-        return IsotopyOrder(INCOMPARABLE, witness)
-    if has_greater:
-        return IsotopyOrder(GREATER, witness)
-    if has_less:
-        return IsotopyOrder(LESS, witness)
-    return IsotopyOrder(EQUIVALENT, None)
+    c = (float(center[0]), float(center[1]))
+    ys = [-radius * (j + 0.5) / grid for j in range(grid)]
+    diffs = [[a - b for a, b in zip(_circle_turns(iso, c, -y, grid),
+                                    _circle_turns(other, c, -y, grid))]
+             for y in ys]
+    # theta outer, radius inner: the first decisive sample is the witness
+    decisive = [(diffs[j][i], (i / grid, y)) for i in range(grid)
+                for j, y in enumerate(ys) if abs(diffs[j][i]) > tol]
+    greater = any(d > 0 for d, _ in decisive)
+    less = any(d < 0 for d, _ in decisive)
+    relation = {(True, True): INCOMPARABLE, (True, False): GREATER,
+                (False, True): LESS, (False, False): EQUIVALENT}[greater, less]
+    return IsotopyOrder(relation, decisive[0][1] if decisive else None)
 
 
 @dataclass

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -44,6 +48,17 @@ def test_fixture_output_is_byte_identical(capsys):
     _, first, _ = run_cli(capsys, "fixture", "ex4_sphere_3shear", "--claims")
     _, second, _ = run_cli(capsys, "fixture", "ex4_sphere_3shear", "--claims")
     assert first == second
+
+
+def test_module_entry_point_matches_main(capsys):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    run = subprocess.run(
+        [sys.executable, "-m", "torsionlab", "fixture", "ex7_linear_shear"],
+        capture_output=True, text=True, env=env, check=False)
+    code, out, _ = run_cli(capsys, "fixture", "ex7_linear_shear")
+    assert run.returncode == code == 0
+    assert run.stdout == out
 
 
 def test_analyze_torsion_low_saddle(tmp_path, capsys):

@@ -137,3 +137,30 @@ def test_fixture_reports_are_deterministic():
 def test_ex5_fixture_claims_pass():
     rep = run_fixture_claims(load_fixture("ex5_sin2_genfunc"))
     assert rep["all_pass"], rep
+
+
+def test_ex3_samples_once_and_errors_reach_both_claims(monkeypatch):
+    from torsionlab import fixtures
+    from torsionlab.errors import RefinementExhausted
+
+    calls = []
+
+    def samples(*args, **kwargs):
+        calls.append(args)
+        return [((0.04, 0.0), 25.0), ((0.0, -0.03), 100.0 / 3.0)]
+
+    monkeypatch.setattr(fixtures, "rotation_samples", samples)
+    scen = load_fixture("ex3_annulus_escape")
+    assert [c.compute(scen) for c in scen.claims[:2]] == [25.0, 0.0]
+    assert len(calls) == 1
+
+    def fails(*args, **kwargs):
+        calls.append(args)
+        raise RefinementExhausted("no sample")
+
+    monkeypatch.setattr(fixtures, "rotation_samples", fails)
+    scen = load_fixture("ex3_annulus_escape")
+    scen.claims = scen.claims[:2]
+    errors = [c["error"] for c in run_fixture_claims(scen)["claims"]]
+    assert errors == ["RefinementExhausted: no sample"] * 2
+    assert len(calls) == 3
