@@ -40,11 +40,13 @@ class PolynomialField:
         self.coeffs = np.asarray(coeffs, dtype=float)
         if self.coeffs.ndim != 2:
             raise ValueError("coeffs must be a 2-D array")
+        # nonzero (i, j, a) as Python numbers, in row-major order
+        self._terms = [(i, j, a) for i, row in enumerate(self.coeffs.tolist())
+                       for j, a in enumerate(row) if a != 0.0]
 
     def jet2(self, x, y) -> Jet2:
         """Jet at floats or broadcastable arrays (elementwise arithmetic)."""
-        c = self.coeffs
-        nx, ny = c.shape
+        nx, ny = self.coeffs.shape
         px = [1.0] * nx
         for i in range(1, nx):
             px[i] = px[i - 1] * x
@@ -52,22 +54,18 @@ class PolynomialField:
         for j in range(1, ny):
             py[j] = py[j - 1] * y
         f = fx = fy = fxx = fxy = fyy = 0.0
-        for i in range(nx):
-            for j in range(ny):
-                a = c[i, j]
-                if a == 0.0:
-                    continue
-                f = f + a * px[i] * py[j]
-                if i >= 1:
-                    fx = fx + a * i * px[i - 1] * py[j]
-                if j >= 1:
-                    fy = fy + a * j * px[i] * py[j - 1]
-                if i >= 2:
-                    fxx = fxx + a * i * (i - 1) * px[i - 2] * py[j]
-                if i >= 1 and j >= 1:
-                    fxy = fxy + a * i * j * px[i - 1] * py[j - 1]
-                if j >= 2:
-                    fyy = fyy + a * j * (j - 1) * px[i] * py[j - 2]
+        for i, j, a in self._terms:
+            f = f + a * px[i] * py[j]
+            if i >= 1:
+                fx = fx + a * i * px[i - 1] * py[j]
+            if j >= 1:
+                fy = fy + a * j * px[i] * py[j - 1]
+            if i >= 2:
+                fxx = fxx + a * i * (i - 1) * px[i - 2] * py[j]
+            if i >= 1 and j >= 1:
+                fxy = fxy + a * i * j * px[i - 1] * py[j - 1]
+            if j >= 2:
+                fyy = fyy + a * j * (j - 1) * px[i] * py[j - 2]
         return Jet2(f, fx, fy, fxx, fxy, fyy)
 
 
@@ -282,21 +280,27 @@ def find_critical_points(iso: GenIsotopy, region: Sequence[float],
 
     def gradient_model(x, y):
         jet = field.jet2(x, y)
+        fx, fy, fxx, fxy, fyy = (np.broadcast_to(a, x.shape) for a in (
+            jet.fx, jet.fy, jet.fxx, jet.fxy, jet.fyy))
 
-        def step():
-            H = np.array([[jet.fxx, jet.fxy], [jet.fxy, jet.fyy]])
-            rhs = -np.array([jet.fx, jet.fy])
+        def step(lanes):
+            H = np.stack((fxx[lanes], fxy[lanes], fxy[lanes], fyy[lanes]),
+                         axis=-1).reshape(-1, 2, 2)
+            rhs = -np.stack((fx[lanes], fy[lanes]), axis=-1)
             try:
-                return np.linalg.solve(H, rhs)
-            except np.linalg.LinAlgError:
-                return np.linalg.lstsq(H, rhs, rcond=None)[0]
+                return np.linalg.solve(H, rhs[..., None])[..., 0]
+            except np.linalg.LinAlgError:  # a singular lane: one by one
+                return np.array([_solve_or_lstsq(h, r)
+                                 for h, r in zip(H, rhs)])
 
-        return math.hypot(jet.fx, jet.fy), step
+        res = [math.hypot(a, b) for a, b in zip(fx.tolist(), fy.tolist())]
+        return res, step
 
+    i, j = np.nonzero(_seed_cells(gx) | _seed_cells(gy))
+    seeds = np.column_stack((0.5 * (xs[i] + xs[i + 1]),
+                             0.5 * (ys[j] + ys[j + 1])))
     found = []
-    for i, j in zip(*np.nonzero(_seed_cells(gx) | _seed_cells(gy))):
-        seed = (0.5 * (xs[i] + xs[i + 1]), 0.5 * (ys[j] + ys[j + 1]))
-        pt = _newton(gradient_model, seed, residual_tol, 200, 1.0)
+    for pt in _newton(gradient_model, seeds, residual_tol, 200, 1.0):
         if pt is None:
             continue
         x, y, res = pt
@@ -328,37 +332,75 @@ def _seed_cells(a: np.ndarray, slack: float = 0.0) -> np.ndarray:
             & ~corners(np.isnan(a)))
 
 
-def _newton(model, seed, tol, max_iter, max_step):
-    """Damped Newton from seed; returns (x, y, residual) or None.
+def _solve_or_lstsq(H: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    try:
+        return np.linalg.solve(H, rhs)
+    except np.linalg.LinAlgError:
+        return np.linalg.lstsq(H, rhs, rcond=None)[0]
 
-    model(x, y) returns (residual norm, step), where step() computes the
-    Newton step only when it is taken.  The iteration runs to stall, so
-    degenerate (linearly converging) zeros are pinned well inside a 1e-6
+
+def _newton(model, seeds, tol, max_iter, max_step):
+    """Damped Newton from every seed at once; (x, y, residual) or None each.
+
+    Each seed is a lane of array iterations.  model(xs, ys) takes the live
+    lanes' points and returns their residual norms and step, where
+    step(lanes) computes the Newton steps, one row each, of the lanes at
+    those positions only: the lanes that take one.  A lane runs to stall,
+    so degenerate (linearly converging) zeros are pinned well inside a 1e-6
     deduplication radius; a step longer than max_step is scaled down to
-    max_step.  The best iterate counts if its residual is <= tol.
+    max_step; a non-finite residual or step gives None.  The best iterate
+    counts if its residual is <= tol.  Lanes make the decisions of a
+    seed-by-seed run on its bits.  Where model or step raises, the lanes
+    from the first failing one on stop, the others go on, and the error of
+    the lowest failing lane is raised at the end: the error a seed-by-seed
+    run raises.
     """
-    x, y = seed
-    best = None
-    stall = 0
+    x, y = np.array(seeds, dtype=float).reshape(-1, 2).T.copy()
+    best = np.full((len(x), 3), np.inf)  # each lane's best x, y, residual
+    stall = np.zeros(len(x), dtype=int)
+    dropped = np.zeros(len(x), dtype=bool)
+    live, error = np.arange(len(x)), None
     for _ in range(max_iter):
-        res, step = model(x, y)
-        if not math.isfinite(res):
-            return None
-        if best is None or res < best[2]:
-            best = (x, y, res)
-            stall = 0
-        else:
-            stall += 1
-        if res == 0.0 or stall >= 3:
+        live, got, error = _lanes(lambda k: model(x[k], y[k]), live, error)
+        if not live.size:
             break
-        delta = step()
-        if not np.all(np.isfinite(delta)):
-            return None
-        length = float(np.hypot(delta[0], delta[1]))
-        if length > max_step:
-            delta = delta / (length / max_step)
-        x += float(delta[0])
-        y += float(delta[1])
-    if best is None or best[2] > tol:
-        return None
-    return best
+        res = np.asarray(got[0], dtype=float)
+        dropped[live[~np.isfinite(res)]] = True
+        better = res < best[live, 2]
+        best[live[better]] = np.column_stack((x[live], y[live], res))[better]
+        stall[live] = np.where(better, 0, stall[live] + 1)
+        go = np.flatnonzero(np.isfinite(res) & (res != 0.0)
+                            & (stall[live] < 3))
+        go, delta, error = _lanes(got[1], go, error)
+        live = live[go]
+        if not live.size:
+            continue
+        delta = np.asarray(delta, dtype=float).reshape(-1, 2)
+        finite = np.isfinite(delta).all(axis=1)
+        dropped[live[~finite]] = True
+        live, delta = live[finite], delta[finite]
+        length = np.hypot(delta[:, 0], delta[:, 1])
+        long = length > max_step
+        delta[long] = delta[long] / (length[long] / max_step)[:, None]
+        x[live] += delta[:, 0]
+        y[live] += delta[:, 1]
+    if error is not None:
+        raise error
+    return [None if dropped[k] or best[k, 2] > tol else tuple(best[k].tolist())
+            for k in range(len(x))]
+
+
+def _lanes(call, lanes: np.ndarray, error):
+    """(lanes run, call(lanes run), error): all lanes, or where call raises,
+    the lanes before the first one that raises alone, with its error."""
+    if not lanes.size:
+        return lanes, None, error
+    try:
+        return lanes, call(lanes), error
+    except Exception:
+        for k in range(len(lanes)):
+            try:
+                call(lanes[k:k + 1])
+            except Exception as exc:
+                return lanes[:k], (call(lanes[:k]) if k else None), exc
+        raise

@@ -8,6 +8,7 @@ transformation pinned by the identity at t = 0.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -146,6 +147,7 @@ def _circle_turns(iso: PlanarIsotopy, center, r: float, m: int) -> list:
         a = TWO_PI * s
         return (cx + r * math.cos(a), cy + r * math.sin(a))
 
+    @functools.cache  # sample i/n is sample 2i/(2n) of the next level
     def vec(s):
         w = iso.eval(1.0, point(s))
         return (w[0] - cx, w[1] - cy)

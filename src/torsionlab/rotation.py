@@ -325,11 +325,16 @@ def twist_check_and_search(m: AnnulusLiftMap, grid: int = 64) -> TwistReport:
 
     h = 1e-7
 
-    def lift_model(x, y):
-        w = m.lift(x, y)
-        r = np.array([w[0] - x, w[1] - y])
+    def lift_model(xs, ys):
+        # x a Python float and y a numpy float, as the seeds are: float
+        # arithmetic in a lift raises where numpy floats give inf or NaN
+        pts = list(zip(xs.tolist(), ys))
+        rs = []
+        for x, y in pts:
+            w = m.lift(x, y)
+            rs.append(np.array([w[0] - x, w[1] - y]))
 
-        def step():
+        def step(x, y, r):
             J = np.empty((2, 2))
             for k, (dx, dy) in enumerate(((h, 0.0), (0.0, h))):
                 wp = m.lift(x + dx, y + dy)
@@ -338,14 +343,14 @@ def twist_check_and_search(m: AnnulusLiftMap, grid: int = 64) -> TwistReport:
                 J[1, k] = (wp[1] - wm[1]) / (2 * h) - (1.0 if k == 1 else 0.0)
             return np.linalg.lstsq(J, -r, rcond=None)[0]
 
-        return float(np.hypot(r[0], r[1])), step
+        return ([float(np.hypot(r[0], r[1])) for r in rs],
+                lambda lanes: [step(*pts[k], rs[k]) for k in lanes])
 
+    i, j = np.nonzero(_seed_cells(d1, 1e-9) & _seed_cells(d2, 1e-9))
+    seeds = np.column_stack((np.array(xs)[i] + 0.5 / grid,
+                             0.5 * (ys[j] + ys[j + 1])))
     found = []
-    seeds = _seed_cells(d1, 1e-9) & _seed_cells(d2, 1e-9)
-    for i, j in zip(*np.nonzero(seeds)):
-        x0 = xs[i] + 0.5 / grid
-        y0 = 0.5 * (ys[j] + ys[j + 1])
-        pt = _newton(lift_model, (x0, y0), 1e-9, 60, 0.5)
+    for pt in _newton(lift_model, seeds, 1e-9, 60, 0.5):
         if pt is None:
             continue
         x, y, _ = pt

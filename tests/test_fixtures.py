@@ -76,6 +76,18 @@ def test_phi5_periodicity_and_antiderivative():
     assert PHI5_A == pytest.approx(1.0 / 96.0)
 
 
+def test_phi5_on_arrays_equals_phi5_on_floats():
+    # the quadrature nodes of ex5's partial-derivative claim, and a span
+    # across the branch points and periods
+    rng = np.random.default_rng(2)
+    grids = [np.linspace(0.0, rng.uniform(0.05, 0.95), 20001) for _ in range(3)]
+    grids += [np.linspace(-1.0, 2.0, 12001), np.array([0.0, 0.75, 1.0])]
+    for ss in grids:
+        got = phi5(ss)
+        assert [v.hex() for v in got.tolist()] == \
+            [phi5(v).hex() for v in ss.tolist()]
+
+
 def test_phi4_pinned_constraints():
     xs = np.linspace(0.0, 1.0, 10001)
     for y in xs:

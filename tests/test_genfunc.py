@@ -7,11 +7,12 @@ from torsionlab.errors import DomainError, SolverDiverged, TwistBoundViolation
 from torsionlab.expr import ExprField, Jet2
 from torsionlab.fixtures import Ex5Field
 from torsionlab.genfunc import (
-    GenIsotopy, MORSE_DEGENERATE, MORSE_MIN, MORSE_SADDLE, PolynomialField,
-    _seed_cells, _solve_X, _solver_tol, alt_jacobian_path, alt_trajectory,
-    find_critical_points, gf_alt_apply, gf_apply, gf_jacobian, jacobian_path,
-    verify_twist_bound,
+    GRID_BLOCK, GenIsotopy, MORSE_DEGENERATE, MORSE_MIN, MORSE_SADDLE,
+    PolynomialField, _morse_type, _newton, _seed_cells, _solve_X, _solver_tol,
+    alt_jacobian_path, alt_trajectory, find_critical_points, gf_alt_apply,
+    gf_apply, gf_jacobian, jacobian_path, verify_twist_bound,
 )
+from torsionlab.rotation import AnnulusLiftMap, twist_check_and_search
 
 
 def make_iso(text, c, **kw):
@@ -349,3 +350,382 @@ def test_solver_tolerance_floor_far_from_origin():
     assert abs(z[0]) > 1e12
     # below |X| ~ 1000 the floor stays at solver_tol
     assert _solver_tol(iso, 999.0, -999.0) == iso.solver_tol
+
+
+def reference_polynomial_jet(field, x, y):
+    """The coefficient double loop that PolynomialField.jet2 replaces."""
+    c = field.coeffs
+    nx, ny = c.shape
+    px = [1.0] * nx
+    for i in range(1, nx):
+        px[i] = px[i - 1] * x
+    py = [1.0] * ny
+    for j in range(1, ny):
+        py[j] = py[j - 1] * y
+    f = fx = fy = fxx = fxy = fyy = 0.0
+    for i in range(nx):
+        for j in range(ny):
+            a = c[i, j]
+            if a == 0.0:
+                continue
+            f = f + a * px[i] * py[j]
+            if i >= 1:
+                fx = fx + a * i * px[i - 1] * py[j]
+            if j >= 1:
+                fy = fy + a * j * px[i] * py[j - 1]
+            if i >= 2:
+                fxx = fxx + a * i * (i - 1) * px[i - 2] * py[j]
+            if i >= 1 and j >= 1:
+                fxy = fxy + a * i * j * px[i - 1] * py[j - 1]
+            if j >= 2:
+                fyy = fyy + a * j * (j - 1) * px[i] * py[j - 2]
+    return Jet2(f, fx, fy, fxx, fxy, fyy)
+
+
+def jet_hex(jet):
+    return [float(v).hex() for v in
+            (jet.f, jet.fx, jet.fy, jet.fxx, jet.fxy, jet.fyy)]
+
+
+def test_polynomial_jets_equal_coefficient_loop():
+    rng = np.random.default_rng(17)
+    for _ in range(50):
+        field, _ = random_generating_field(rng, degree=int(rng.integers(1, 6)))
+        for x, y in rng.uniform(-2.0, 2.0, size=(40, 2)):
+            assert jet_hex(field.jet2(float(x), float(y))) == \
+                jet_hex(reference_polynomial_jet(field, float(x), float(y)))
+
+
+# --- lane-batched Newton against the seed-by-seed reference -----------------
+
+def reference_newton(model, seed, tol, max_iter, max_step, steps=None):
+    """The seed-by-seed damped Newton loop that _newton runs as lanes.
+
+    ``steps`` (a list) receives the number of model evaluations made."""
+    x, y = seed
+    best = None
+    stall = 0
+    n = 0
+    for _ in range(max_iter):
+        n += 1
+        res, step = model(x, y)
+        if not math.isfinite(res):
+            best = None
+            break
+        if best is None or res < best[2]:
+            best = (x, y, res)
+            stall = 0
+        else:
+            stall += 1
+        if res == 0.0 or stall >= 3:
+            break
+        delta = step()
+        if not np.all(np.isfinite(delta)):
+            best = None
+            break
+        length = float(np.hypot(delta[0], delta[1]))
+        if length > max_step:
+            delta = delta / (length / max_step)
+        x += float(delta[0])
+        y += float(delta[1])
+    if steps is not None:
+        steps.append(n)
+    if best is None or best[2] > tol:
+        return None
+    return best
+
+
+def reference_critical_points(iso, region, grid_n, residual_tol=1e-9,
+                              steps=None):
+    """find_critical_points with one reference_newton run per seed."""
+    xmin, xmax, ymin, ymax = map(float, region)
+    xs = np.linspace(xmin, xmax, grid_n + 1)
+    ys = np.linspace(ymin, ymax, grid_n + 1)
+    jet = iso.field.jet2(xs[:, None], ys[None, :])
+    gx = np.broadcast_to(jet.fx, (grid_n + 1, grid_n + 1))
+    gy = np.broadcast_to(jet.fy, (grid_n + 1, grid_n + 1))
+    field = iso.field
+
+    def gradient_model(x, y):
+        jet = field.jet2(x, y)
+
+        def step():
+            H = np.array([[jet.fxx, jet.fxy], [jet.fxy, jet.fyy]])
+            rhs = -np.array([jet.fx, jet.fy])
+            try:
+                return np.linalg.solve(H, rhs)
+            except np.linalg.LinAlgError:
+                return np.linalg.lstsq(H, rhs, rcond=None)[0]
+
+        return math.hypot(jet.fx, jet.fy), step
+
+    found = []
+    for i, j in zip(*np.nonzero(_seed_cells(gx) | _seed_cells(gy))):
+        seed = (0.5 * (xs[i] + xs[i + 1]), 0.5 * (ys[j] + ys[j + 1]))
+        pt = reference_newton(gradient_model, seed, residual_tol, 200, 1.0,
+                              steps)
+        if pt is None:
+            continue
+        x, y, res = pt
+        if not (xmin - 1e-9 <= x <= xmax + 1e-9
+                and ymin - 1e-9 <= y <= ymax + 1e-9):
+            continue
+        if any(math.hypot(x - p[0], y - p[1]) < 1e-6 for p in found):
+            continue
+        jet = field.jet2(x, y)
+        hess = np.array([[jet.fxx, jet.fxy], [jet.fxy, jet.fyy]])
+        found.append((x, y, res, hess, _morse_type(hess)))
+    found.sort(key=lambda p: (p[1], p[0]))
+    return [critical_hex(*p) for p in found]
+
+
+def critical_hex(x, y, res, hess, kind):
+    return ([float(v).hex() for v in (x, y, res, *np.ravel(hess))], kind)
+
+
+def lattice_fields(rng):
+    """The generating functions of the bench's grid_scan rounds: nine sine
+    lattices A sin(p (x - x0)) sin(q (y - y0)) and three quadratics, with
+    their scan regions and grids."""
+    for _ in range(9):
+        p, q = (round(rng.uniform(1.3, 1.8), 4) for _ in range(2))
+        A = round(rng.uniform(0.35, 0.45) / (p * q), 6)
+        x0, y0 = (round(rng.uniform(-0.5, 0.5), 4) for _ in range(2))
+        hx, hy = math.pi / p, math.pi / q
+        yield (f"{A!r}*sin({p!r}*(x{-x0:+}))*sin({q!r}*(y{-y0:+}))",
+               (x0 - 1.25 * hx, x0 + 1.25 * hx, y0 - 1.25 * hy, y0 + 1.25 * hy),
+               128)
+    for s, t in ((1.0, -1.0), (1.0, 1.0), (-1.0, -1.0)):
+        a, b = s * rng.uniform(0.2, 0.4), t * rng.uniform(0.2, 0.4)
+        c = rng.choice((-1, 1)) * rng.uniform(0.1, 0.2)
+        x0, y0 = rng.uniform(-0.5, 0.5, size=2)
+        u, v = f"(x{-x0:+})", f"(y{-y0:+})"
+        yield (f"{a!r}*{u}^2{b:+}*{v}^2{c:+}*{u}*{v}",
+               (x0 - 1.0, x0 + 1.0, y0 - 1.0, y0 + 1.0), 160)
+
+
+class StripField:
+    """0.1 sin(3x) sin(3y) with a NaN gradient on 0.3 < x < 0.35 and an
+    infinite d11 g on -0.35 < x < -0.3: strips between the nodes of a
+    16-cell grid on [-1, 1]^2 that hold seeds and Newton iterates."""
+
+    def jet2(self, x, y):
+        x, y = np.asarray(x, float), np.asarray(y, float)
+        sx, cx, sy, cy = np.sin(3 * x), np.cos(3 * x), np.sin(3 * y), np.cos(3 * y)
+        nan = (0.3 < x) & (x < 0.35)
+        inf = (-0.35 < x) & (x < -0.3)
+        out = (0.1 * sx * sy, np.where(nan, np.nan, 0.3 * cx * sy),
+               np.where(nan, np.nan, 0.3 * sx * cy),
+               np.where(inf, np.inf, -0.9 * sx * sy), 0.9 * cx * cy,
+               -0.9 * sx * sy)
+        if out[0].ndim == 0:
+            out = [float(v) for v in out]
+        return Jet2(*out)
+
+
+def critical_corpus():
+    """(name, field, region, grid) of the bit-equality corpus."""
+    rng = np.random.default_rng(19)
+    for k, (text, region, grid) in enumerate(lattice_fields(rng)):
+        yield f"lattice {k}", ExprField(text), region, grid
+    yield "ex5", Ex5Field(), (-0.6, 0.6, 0.05, 0.95), 400
+    for text in ("x^2+y^2", "x^2-y^2", "x^2+y^4",
+                 "0.15*sin(1.5*(x-0.3))*sin(1.7*(y+0.1))",
+                 "0.05*exp(x/2)*log(y^2+1)+0.02*x^3*y^2-0.1*x*y",
+                 "select(x<y,0.2*x*y,0.1*x^2*y)+0.3*y^2-0.2*x^2"):
+        for grid in (8, 24, 64):
+            yield text, ExprField(text), (-1, 1, -1, 1), grid
+    poly, _ = random_generating_field(np.random.default_rng(9), degree=4)
+    for grid in (8, 16, 32, 64):
+        yield "polynomial", poly, (-1.5, 1.5, -1.5, 1.5), grid
+    # non-finite residuals and steps
+    for grid in (16, 32):
+        yield "strips", StripField(), (-1, 1, -1, 1), grid
+    # a zero Hessian row at the seeds with y = 0 (lstsq lanes), and lanes
+    # that run all 200 iterations: the cubes halve, the fourth powers
+    # shrink by 2/3 a step without stalling
+    for text in ("x^3+y^3", "x^4+y^4"):
+        yield text, ExprField(text), (-1, 0.125, -0.5625, 0.5625), 9
+
+
+def critical_hex_of(points):
+    return [critical_hex(*p.location, p.gradient_residual, p.hessian,
+                         p.morse_type) for p in points]
+
+
+@pytest.mark.slow
+def test_critical_points_equal_seed_by_seed_reference(monkeypatch):
+    lstsq_calls = []
+    lstsq = np.linalg.lstsq
+
+    def counted(*args, **kw):
+        lstsq_calls.append(1)
+        return lstsq(*args, **kw)
+
+    monkeypatch.setattr(np.linalg, "lstsq", counted)
+    points = 0
+    for name, field, region, grid in critical_corpus():
+        iso = GenIsotopy(field, twist_bound_c=0.9)
+        lstsq_calls.clear()
+        got = critical_hex_of(find_critical_points(iso, region, grid))
+        lane_lstsq = len(lstsq_calls)
+        steps = []
+        assert got == reference_critical_points(iso, region, grid,
+                                                steps=steps), (name, grid)
+        if (name, grid) == ("strips", 16):  # seeds in the NaN strip
+            assert 1 in steps
+        if name in ("x^3+y^3", "x^4+y^4"):
+            assert lane_lstsq > 0, name
+        if name == "x^4+y^4":  # lanes that hit max_iter
+            assert 200 in steps
+        points += len(got)
+    assert points > 150
+
+
+def twist_lifts():
+    def wave(x, y):
+        w = 0.05 * math.sin(2 * math.pi * x)
+        return (x + y + w, y + w)
+
+    def band(x, y):
+        return (x + 3.0 * y + 0.02 * math.sin(2 * math.pi * x),
+                y + 0.01 * math.sin(2 * math.pi * x) ** 2)
+
+    yield "shear", AnnulusLiftMap(lift=lambda x, y: (x + y, y), a=1.0, b=1.0)
+    yield "wave", AnnulusLiftMap(lift=wave, a=0.5, b=0.55)
+    yield "band", AnnulusLiftMap(lift=band, a=1.0 / 6.0, b=0.2)
+
+
+def reference_twist_fixed_points(m, grid):
+    """twist_check_and_search's fixed points, one reference_newton per seed."""
+    xs = [i / grid for i in range(grid)]
+    ys = np.linspace(-m.a, m.a, grid + 1)
+    d1 = np.empty((grid + 1, grid + 1))
+    d2 = np.empty((grid + 1, grid + 1))
+    for i, x in enumerate(xs + [1.0]):
+        for j, y in enumerate(ys):
+            w = m.lift(x, y)
+            d1[i, j] = w[0] - x
+            d2[i, j] = w[1] - y
+    h = 1e-7
+
+    def lift_model(x, y):
+        w = m.lift(x, y)
+        r = np.array([w[0] - x, w[1] - y])
+
+        def step():
+            J = np.empty((2, 2))
+            for k, (dx, dy) in enumerate(((h, 0.0), (0.0, h))):
+                wp = m.lift(x + dx, y + dy)
+                wm = m.lift(x - dx, y - dy)
+                J[0, k] = (wp[0] - wm[0]) / (2 * h) - (1.0 if k == 0 else 0.0)
+                J[1, k] = (wp[1] - wm[1]) / (2 * h) - (1.0 if k == 1 else 0.0)
+            return np.linalg.lstsq(J, -r, rcond=None)[0]
+
+        return float(np.hypot(r[0], r[1])), step
+
+    found = []
+    seeds = _seed_cells(d1, 1e-9) & _seed_cells(d2, 1e-9)
+    for i, j in zip(*np.nonzero(seeds)):
+        x0 = xs[i] + 0.5 / grid
+        y0 = 0.5 * (ys[j] + ys[j + 1])
+        pt = reference_newton(lift_model, (x0, y0), 1e-9, 60, 0.5)
+        if pt is None:
+            continue
+        x, y, _ = pt
+        x = x % 1.0
+        if abs(y) > m.a + 1e-9:
+            continue
+        if any(min(abs(x - px), 1.0 - abs(x - px)) < 1e-6
+               and abs(y - py) < 1e-6 for px, py in found):
+            continue
+        found.append((x, y))
+    found.sort()
+    return [(float(x).hex(), float(y).hex()) for x, y in found]
+
+
+def test_twist_fixed_points_equal_seed_by_seed_reference():
+    n = 0
+    for name, m in twist_lifts():
+        for grid in (16, 24, 32, 64):
+            got = twist_check_and_search(m, grid=grid).fixed_points
+            assert [(float(x).hex(), float(y).hex()) for x, y in got] == \
+                reference_twist_fixed_points(m, grid), (name, grid)
+            n += len(got)
+    assert n > 10
+
+
+def lanes_of(scalar_model):
+    """A lane model that runs a reference_newton model lane by lane."""
+
+    def model(xs, ys):
+        got = [scalar_model(x, y) for x, y in zip(xs.tolist(), ys.tolist())]
+        return [r for r, _ in got], lambda lanes: [got[k][1]() for k in lanes]
+
+    return model
+
+
+def raised(fn):
+    with pytest.raises(Exception) as info:
+        fn()
+    return type(info.value), str(info.value)
+
+
+def test_newton_raises_the_error_of_the_lowest_failing_seed():
+    # g = x^4 + y^4 with a log domain error for -0.19 < x < -0.18, between
+    # grid nodes.  Newton takes x to 2x/3: the first seed, x = -0.9375,
+    # reaches -0.185 at its fifth evaluation, while the later seeds at
+    # x = -0.1875 fail at their first
+    iso = make_iso("x^4+y^4+select(x<-0.18,select(x>-0.19,log(-1-x^2),0),0)",
+                   0.9)
+    want = raised(lambda: reference_critical_points(iso, (-1, 1, -1, 1), 16))
+    assert want[0] is DomainError and "at (-0.18518518518518" in want[1]
+    # (-0.1875, 0.0625) is a seed of the row above y = 0
+    with pytest.raises(DomainError):
+        iso.field.jet2(-0.1875, 0.0625)
+    assert raised(lambda: find_critical_points(iso, (-1, 1, -1, 1), 16)) \
+        == want
+
+    # the same rule for errors inside a step, straight on _newton: seed 0
+    # fails in its third step, seed 2 in its first, seed 1 never
+    def model(x, y):
+        def step():
+            if (x < 0.3 and y > 2.0) or (x < 0.2 and y < -1.0):
+                raise ValueError(f"step from ({x!r}, {y!r})")
+            return np.array([-0.5 * x, 0.0])
+
+        return abs(x), step
+
+    seeds = [(1.0, 3.0), (0.5, 0.0), (0.1, -5.0), (0.25, 9.0)]
+    scalar = [raised(lambda: reference_newton(model, s, 1e-9, 50, 1.0))
+              if s[0] != 0.5 else None for s in seeds]
+    assert scalar[0] == (ValueError, "step from (0.25, 3.0)")
+    assert scalar[2] == (ValueError, "step from (0.1, -5.0)")
+    assert raised(lambda: _newton(lanes_of(model), seeds, 1e-9, 50, 1.0)) \
+        == scalar[0]
+    assert _newton(lanes_of(model), seeds[1:2], 1e-9, 50, 1.0) == \
+        [reference_newton(model, seeds[1], 1e-9, 50, 1.0)]
+
+
+class CountingField:
+    """Counts the jet2 calls made on a field."""
+
+    def __init__(self, field):
+        self.field, self.calls = field, 0
+
+    def jet2(self, x, y):
+        self.calls += 1
+        return self.field.jet2(x, y)
+
+
+def test_critical_point_scan_makes_a_bounded_number_of_jet_calls():
+    # a grid_scan lattice: the seeds all refine together, so the count is
+    # at most one call per grid block, per Newton iteration and per kept
+    # point: 29 calls here, where a seed-by-seed run makes 9,957
+    text, region, grid = next(lattice_fields(np.random.default_rng(19)))
+    field = CountingField(ExprField(text))
+    found = find_critical_points(GenIsotopy(field, twist_bound_c=0.5),
+                                 region, grid)
+    assert len(found) == 13
+    blocks = math.ceil((grid + 1) / max(1, GRID_BLOCK // (grid + 1)))
+    assert field.calls <= blocks + 200 + len(found)

@@ -311,6 +311,26 @@ def continuation_corpus():
                                    "sin(4*pi*t)*x+cos(4*pi*t)*y"), o, 0.4
 
 
+def test_circle_turns_evaluate_each_circle_point_once():
+    # the lift doubles from 64 to 128 samples; sample i/64 is sample
+    # 2i/128 and is evaluated once.  s = 0 and s = 1/2 also end a sweep.
+    o = (0.0, 0.0)
+    rot = rotation_isotopy(o, 2.0)
+    seen = {}
+
+    def ev(t, z):
+        if t == 1.0:
+            seen[z] = seen.get(z, 0) + 1
+        return rot.eval(t, z)
+
+    iso = PlanarIsotopy(eval=ev)
+    assert indices._circle_turns(iso, o, 0.5, 64) == \
+        indices._circle_turns(rot, o, 0.5, 64)
+    ends = {circle_point(o, 0.5, 0.0), circle_point(o, 0.5, 0.5)}
+    assert {z: n for z, n in seen.items() if z not in ends and n > 1} == {}
+    assert len(seen) == 128
+
+
 def outcome(fn):
     try:
         return fn()
