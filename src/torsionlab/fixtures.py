@@ -66,6 +66,11 @@ def phi5(s: float) -> float:
 
 def phi5_prime(s: float) -> float:
     u = s % 1.0
+    if isinstance(u, np.ndarray):
+        return np.where(
+            u <= 0.75,
+            PHI5_A * (4.0 * np.pi / 3.0) * np.sin(8.0 * np.pi * u / 3.0),
+            -3.0 * PHI5_A * 4.0 * np.pi * np.sin(8.0 * np.pi * (u - 0.75)))
     if u <= 0.75:
         return PHI5_A * (4.0 * math.pi / 3.0) * math.sin(8.0 * math.pi * u / 3.0)
     return -3.0 * PHI5_A * 4.0 * math.pi * math.sin(8.0 * math.pi * (u - 0.75))
@@ -73,6 +78,12 @@ def phi5_prime(s: float) -> float:
 
 def phi5_integral(y: float) -> float:
     """Exact antiderivative of phi5 on [0, 1] with phi5_integral(0) = 0."""
+    if isinstance(y, np.ndarray):
+        v = y - 0.75
+        return np.where(y <= 0.75, PHI5_A * (
+            y / 2.0 - 3.0 * np.sin(8.0 * np.pi * y / 3.0) / (16.0 * np.pi)),
+            PHI5_A * 0.375 - 3.0 * PHI5_A * (
+                v / 2.0 - np.sin(8.0 * np.pi * v) / (16.0 * np.pi)))
     if y <= 0.75:
         return PHI5_A * (y / 2.0 - 3.0 * math.sin(8.0 * math.pi * y / 3.0)
                          / (16.0 * math.pi))
@@ -120,17 +131,20 @@ class Ex5Field:
     def jet2(self, x, y) -> Jet2:
         """Jet at floats or broadcastable arrays.
 
-        Arrays get the scalar path's bits: each distinct coordinate goes
-        through the math-based terms once, one np.interp reads the value
+        Arrays get the scalar path's bits: the terms take numpy's sin and
+        cos (held to math's by a test), one np.interp reads the value
         table, and the terms combine elementwise with the same operations.
         """
         if isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
             x, y = np.asarray(x, float), np.asarray(y, float)
             inside = ~((y <= 0.0) | (y >= 1.0))  # NaN falls inside, as below
             y_in = np.where(inside, y, 0.5)
-            jet = self._combine(_per_value(self._x_terms, x),
+            with np.errstate(over="ignore"):  # math.sin(inf) raises
+                if np.isinf(x).any() or np.isinf(math.pi / y_in).any():
+                    raise ValueError("math domain error")
+            jet = self._combine(self._x_terms(x),
                                 np.interp(y_in, *self._value_table()),
-                                _per_value(self._y_terms, y_in))
+                                self._y_terms(y_in))
             outside = (np.where(y <= 0.0, 0.0, self._ih(1.0)),
                        0.0, 0.0, 0.0, 0.0, 0.0)
             return Jet2(*(np.where(inside, a, b) for a, b in zip(
@@ -143,15 +157,20 @@ class Ex5Field:
 
     @staticmethod
     def _x_terms(x: float) -> tuple:
-        return (math.sin(math.pi * x), math.sin(2.0 * math.pi * x),
-                math.cos(2.0 * math.pi * x))
+        sin, cos = (np.sin, np.cos) if isinstance(x, np.ndarray) else \
+            (math.sin, math.cos)
+        return (sin(math.pi * x), sin(2.0 * math.pi * x),
+                cos(2.0 * math.pi * x))
 
     @staticmethod
     def _y_terms(y: float) -> tuple:
         piy = math.pi / y
-        return (y * math.sin(piy) ** 2,
-                math.sin(piy) ** 2 - piy * math.sin(2.0 * piy),
-                phi5(y), phi5_prime(y), phi5_integral(y))
+        if isinstance(y, np.ndarray):
+            sq, s2 = np.float_power(np.sin(piy), 2), np.sin(2.0 * piy)
+        else:
+            sq, s2 = math.sin(piy) ** 2, math.sin(2.0 * piy)
+        return (y * sq, sq - piy * s2, phi5(y), phi5_prime(y),
+                phi5_integral(y))
 
     @staticmethod
     def _combine(x_terms, ih, y_terms) -> Jet2:
@@ -165,15 +184,6 @@ class Ex5Field:
             math.pi * p * s2x,
             hp + pp * sx * sx,
         )
-
-
-def _per_value(terms, a: np.ndarray) -> tuple:
-    """``terms`` (a float -> tuple function) over an array, called once per
-    distinct value."""
-    values, inverse = np.unique(a, return_inverse=True)
-    table = np.array([terms(v) for v in values.tolist()]).reshape(
-        len(values), -1)
-    return tuple(col[inverse].reshape(a.shape) for col in table.T)
 
 
 def ex5_north_model_field() -> Foliation:

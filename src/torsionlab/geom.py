@@ -51,18 +51,11 @@ class Polyline:
     stop_reason: Optional[str] = None
 
 
-def _angle(v) -> float:
-    return math.atan2(v[1], v[0])
-
-
-def _wrap_pi(a: float) -> float:
-    """Reduce to (-pi, pi]."""
-    a = math.fmod(a, TWO_PI)
-    if a <= -math.pi:
-        a += TWO_PI
-    elif a > math.pi:
-        a -= TWO_PI
-    return a
+def _wrap_pi(a: np.ndarray) -> np.ndarray:
+    """Reduce to (-pi, pi], elementwise."""
+    a = np.fmod(a, TWO_PI)
+    return np.where(a <= -math.pi, a + TWO_PI,
+                    np.where(a > math.pi, a - TWO_PI, a))
 
 
 def build_winding_path(vectors: Sequence, closed: bool = False,
@@ -73,14 +66,17 @@ def build_winding_path(vectors: Sequence, closed: bool = False,
 
     ``refiner(s)`` must return the path vector at parameter ``s``; for closed
     paths the parameter runs over [0, 1] with the wrap sample at s = 1.
+    Angles are libm's ``atan2`` per sample, steps are wrapped at once and
+    only segments whose step is not below pi/2 (NaN too) are bisected; the
+    lift is the sequential cumulative sum of the first angle and the steps.
     """
-    vecs = [tuple(map(float, v)) for v in vectors]
-    n = len(vecs)
+    n = len(vectors)
     if n < 1:
         raise ValueError("empty vector path")
-    for i, v in enumerate(vecs):
-        if math.hypot(v[0], v[1]) <= 0.0:
-            raise ZeroVector(i)
+    xy = np.array(list(zip(*vectors)), dtype=float)
+    zero = np.flatnonzero((xy == 0.0).all(axis=0))
+    if zero.size:
+        raise ZeroVector(int(zero[0]))
     if params is None:
         if closed:
             ps = [i / n for i in range(n)]
@@ -92,44 +88,53 @@ def build_winding_path(vectors: Sequence, closed: bool = False,
             raise ValueError("params length mismatch")
     if closed:
         # append the wrap sample; default parametrization closes at 1.0
-        vecs = vecs + [vecs[0]]
+        xy = np.concatenate((xy, xy[:, :1]), axis=1)
         if params is None:
             ps = ps + [1.0]
         else:
             step = (ps[-1] - ps[0]) / (n - 1) if n > 1 else 1.0
             ps = ps + [ps[-1] + step]
 
-    out_v = [vecs[0]]
-    out_p = [ps[0]]
-    out_lift = [_angle(vecs[0])]
-
-    for k in range(len(vecs) - 1):
-        _refine_segment(out_v, out_p, out_lift, vecs[k], ps[k], vecs[k + 1],
-                        ps[k + 1], refiner, _MAX_DEPTH)
-
-    return WindingPath(samples=np.asarray(out_v, dtype=float),
-                       params=np.asarray(out_p, dtype=float),
-                       lift=np.asarray(out_lift, dtype=float),
+    x, y = xy.tolist()
+    angles = list(map(math.atan2, y, x))
+    steps = _wrap_pi(np.diff(angles))
+    at, mids, subs = [], [], []
+    for k in np.flatnonzero(~(np.abs(steps) < MAX_ANGLE_STEP)).tolist():
+        m, s = _bisect((ps[k], angles[k]), (ps[k + 1], angles[k + 1]),
+                       float(steps[k]), refiner, _MAX_DEPTH)
+        at += [k] * len(m)
+        mids += m
+        subs += s[:-1]
+        steps[k] = s[-1]
+    samples, out_p = xy.T, np.array(ps)
+    if mids:  # midpoints go after sample k, their steps before step k
+        samples = np.insert(samples, np.add(at, 1), [m[2] for m in mids], 0)
+        out_p = np.insert(out_p, np.add(at, 1), [m[0] for m in mids])
+        steps = np.insert(steps, at, subs)
+    return WindingPath(samples=samples, params=out_p,
+                       lift=np.cumsum(np.concatenate(([angles[0]], steps))),
                        closed=closed)
 
 
-def _refine_segment(out_v, out_p, out_lift, va, pa, vb, pb, refiner, depth):
-    step = _wrap_pi(_angle(vb) - _angle(va))
+def _bisect(a, b, step, refiner, depth):
+    """Midpoints (param, angle, vector) that ``refiner`` inserts between the
+    samples a and b, given as (param, angle), and the angle steps along
+    them, each below MAX_ANGLE_STEP."""
     if abs(step) < MAX_ANGLE_STEP:
-        out_v.append(vb)
-        out_p.append(pb)
-        out_lift.append(out_lift[-1] + step)
-        return
+        return [], [step]
     if refiner is None or depth <= 0:
         raise RefinementExhausted(
             f"angle step {abs(step):.3f} rad at parameter interval "
-            f"[{pa:.6g}, {pb:.6g}] (depth exhausted)")
-    pm = 0.5 * (pa + pb)
+            f"[{a[0]:.6g}, {b[0]:.6g}] (depth exhausted)")
+    pm = 0.5 * (a[0] + b[0])
     vm = tuple(map(float, refiner(pm)))
     if math.hypot(vm[0], vm[1]) <= 0.0:
         raise ZeroVector(pm)
-    _refine_segment(out_v, out_p, out_lift, va, pa, vm, pm, refiner, depth - 1)
-    _refine_segment(out_v, out_p, out_lift, vm, pm, vb, pb, refiner, depth - 1)
+    m = (pm, math.atan2(vm[1], vm[0]), vm)
+    s1, s2 = _wrap_pi(np.array([m[1] - a[1], b[1] - m[1]])).tolist()
+    left, left_steps = _bisect(a, m, s1, refiner, depth - 1)
+    right, right_steps = _bisect(m, b, s2, refiner, depth - 1)
+    return left + [m] + right, left_steps + right_steps
 
 
 def winding_number(p: WindingPath) -> int:
@@ -149,19 +154,23 @@ def angle_sweep(vec_fn: Callable[[float], tuple], n0: int = 64) -> float:
 
     Besides the local < pi/2 refinement this doubles the base grid until two
     consecutive totals agree, which guards against aliasing on paths that
-    wind many turns between coarse samples.
+    wind many turns between coarse samples.  Sample i/n is sample 2i/(2n),
+    the same float, so a doubling calls ``vec_fn`` only at the odd samples.
     """
     prev = None
     n = n0
-    for _ in range(_SWEEP_MAX_DOUBLINGS):
-        vecs = [vec_fn(i / n) for i in range(n + 1)]
+    vecs = [vec_fn(i / n) for i in range(n + 1)]
+    for doubling in range(_SWEEP_MAX_DOUBLINGS):
+        if doubling:
+            n *= 2
+            odd = [vec_fn(i / n) for i in range(1, n, 2)]
+            vecs = [v for pair in zip(vecs, odd) for v in pair] + vecs[-1:]
         path = build_winding_path(vecs, closed=False, refiner=vec_fn,
                                   params=[i / n for i in range(n + 1)])
         total = path.lift[-1] - path.lift[0]
         if prev is not None and abs(total - prev) <= _SWEEP_TOL:
             return total
         prev = total
-        n *= 2
     raise RefinementExhausted(
         f"swept angle did not stabilize below {_SWEEP_TOL} after "
         f"{_SWEEP_MAX_DOUBLINGS} doublings")

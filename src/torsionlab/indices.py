@@ -136,11 +136,12 @@ def trajectory_turns(iso: PlanarIsotopy, z, center, n0: int = 64) -> float:
     return angle_sweep(vec, n0=n0) / TWO_PI
 
 
-def _circle_turns(iso: PlanarIsotopy, center, r: float, m: int) -> list:
-    """Turns F(z(i/m)), i < m, on z(s) = c + r e^{2 pi i s}: as the isotopy
-    fixes c, F(z(s)) = F(z(0)) + (L(s) - L(0))/2pi - s, L the lifted angle
-    of f_1(z(s)) - c.  L doubles from >= 64 samples until two lifts agree
-    at shared samples, must close after one turn and meet a sweep at 1/2."""
+def _circle_turns(iso: PlanarIsotopy, center, r: float, m: int) -> tuple:
+    """Turns F(z(i/m)), i < m, on z(s) = c + r e^{2 pi i s}, and the vectors
+    f_1(z(i/m)) - c: as the isotopy fixes c, F(z(s)) = F(z(0)) + (L(s) -
+    L(0))/2pi - s, L the lifted angle of f_1(z(s)) - c.  L doubles from
+    >= 64 samples until two lifts agree at shared samples, must close after
+    one turn and meet a sweep at 1/2."""
     cx, cy = center
 
     def point(s):
@@ -171,7 +172,8 @@ def _circle_turns(iso: PlanarIsotopy, center, r: float, m: int) -> list:
     f0 = trajectory_turns(iso, point(0.0), center)
     if abs(f0 + turns[n // 2] - trajectory_turns(iso, point(0.5), center)) > 1e-6:
         raise RefinementExhausted(f"sweep at s = 1/2 disagrees on {where}")
-    return [f0 + float(t) for t in turns[:n:n // m]]
+    return ([f0 + float(t) for t in turns[:n:n // m]],
+            [vec(s) for s in ps[:n:n // m]])
 
 
 def _check_center_fixed(iso: PlanarIsotopy, center, t_grid: int = 33):
@@ -225,21 +227,22 @@ def isotopy_index(iso: PlanarIsotopy, center, radius: float,
         raise InputError("samples must be >= 64")
     _check_center_fixed(iso, center)
     cx, cy = float(center[0]), float(center[1])
-    turns = _circle_turns(iso, (cx, cy), radius, samples)
+    turns, f1 = _circle_turns(iso, (cx, cy), radius, samples)
 
-    def cover_disp(s, dtheta=None):
-        a = TWO_PI * s
-        z = (cx + radius * math.cos(a), cy + radius * math.sin(a))
-        w = iso.eval(1.0, z)
+    def cover_disp(s, dtheta=None, w=None):
         if dtheta is None:  # a refinement midpoint
+            a = TWO_PI * s
+            z = (cx + radius * math.cos(a), cy + radius * math.sin(a))
+            w = iso.eval(1.0, z)
+            w = (w[0] - cx, w[1] - cy)
             dtheta = trajectory_turns(iso, z, (cx, cy))
-        v = (dtheta, radius - math.hypot(w[0] - cx, w[1] - cy))
+        v = (dtheta, radius - math.hypot(*w))
         # a fixed point of the lift is a planar fixed point with zero turn
         if math.hypot(v[0], v[1]) < 1e-10:
             raise FixedPointOnCurve(s)
         return v
 
-    vecs = [cover_disp(i / samples, turns[i]) for i in range(samples)]
+    vecs = [cover_disp(i / samples, turns[i], f1[i]) for i in range(samples)]
     path = build_winding_path(vecs, closed=True, refiner=cover_disp,
                               params=[i / samples for i in range(samples)])
     return winding_number(path)
@@ -288,8 +291,8 @@ def compare_isotopies(iso: PlanarIsotopy, other: PlanarIsotopy, center,
     _check_center_fixed(other, center)
     c = (float(center[0]), float(center[1]))
     ys = [-radius * (j + 0.5) / grid for j in range(grid)]
-    diffs = [[a - b for a, b in zip(_circle_turns(iso, c, -y, grid),
-                                    _circle_turns(other, c, -y, grid))]
+    diffs = [[a - b for a, b in zip(_circle_turns(iso, c, -y, grid)[0],
+                                    _circle_turns(other, c, -y, grid)[0])]
              for y in ys]
     # theta outer, radius inner: the first decisive sample is the witness
     decisive = [(diffs[j][i], (i / grid, y)) for i in range(grid)

@@ -139,31 +139,46 @@ def rotation_samples(iso: PlanarIsotopy, center, U_radius: float,
     the U-disk, with z and f^n(z) outside the closed V-disk (all strict);
     for kept orbits returns (start, rho_n) with rho_n in turns per step.
     """
+    return [(start, rho) for _, start, rho in _window_samples(
+        iso, center, U_radius, V_radius, [n], seeds, t_grid, seed_points)]
+
+
+def _window_samples(iso, center, U_radius, V_radius, schedule, seeds,
+                    t_grid, seed_points) -> list:
+    """(n, start, rho_n) of ``rotation_samples`` for each n of the increasing
+    ``schedule``, in (n, seed) order, read off one orbit per seed.  A seed
+    whose orbit raises stops; once all seeds ran, the error of the lowest
+    (first n past the failing step, seed) is raised, as per-n runs would."""
     if not 0.0 < V_radius < U_radius:
         raise InputError("need 0 < V_radius < U_radius")
-    if n < 1:
+    if schedule[0] < 1:
         raise InputError("n must be >= 1")
     cx, cy = float(center[0]), float(center[1])
     pts = list(seed_points) if seed_points is not None else \
         _default_seeds(center, V_radius, U_radius, seeds)
-
-    def orbit_sample(z0):
-        r0 = math.hypot(z0[0] - cx, z0[1] - cy)
-        if not V_radius < r0 < U_radius:
-            return None
-        z = z0
-        total = 0.0
-        for i in range(n):
-            total += trajectory_turns(iso, z, (cx, cy), n0=t_grid)
-            z = iso.eval(1.0, z)
-            r = math.hypot(z[0] - cx, z[1] - cy)
-            if r >= U_radius:
-                return None
-            if i == n - 1 and r <= V_radius:
-                return None
-        return (z0, total / n)
-
-    return [r for r in map(orbit_sample, pts) if r is not None]
+    where = {n: k for k, n in enumerate(schedule)}
+    kept, error = [[] for _ in schedule], None
+    for s, z0 in enumerate(pts):
+        if not V_radius < math.hypot(z0[0] - cx, z0[1] - cy) < U_radius:
+            continue
+        z, total, i = z0, 0.0, 1
+        try:
+            for i in range(1, schedule[-1] + 1):
+                total += trajectory_turns(iso, z, (cx, cy), n0=t_grid)
+                z = iso.eval(1.0, z)
+                r = math.hypot(z[0] - cx, z[1] - cy)
+                if r >= U_radius:
+                    break
+                if i in where and not r <= V_radius:
+                    kept[where[i]].append((z0, total / i))
+        except Exception as exc:
+            key = (sum(n < i for n in schedule), s)
+            if error is None or key < error[0]:
+                error = (key, exc)
+    if error is not None:
+        raise error[1]
+    return [(n, start, rho) for n, row in zip(schedule, kept)
+            for start, rho in row]
 
 
 @dataclass
@@ -187,7 +202,9 @@ def local_rotation_set_estimate(iso: PlanarIsotopy, center, r0: float,
     Level k uses U = r0/2^k, V = r0/2^{k+2} and a geometric schedule of
     orbit lengths up to n_max; the interval is the min/max of deep-level
     samples with n >= n_max/4, with escapes past the divergence threshold
-    flagged instead of reported as unbounded reals.
+    flagged instead of reported as unbounded reals.  Each level runs one
+    orbit per seed up to n_max and reads every scheduled n off its running
+    sum (``rotation_samples``' windows, samples in (level, n, seed) order).
     """
     if levels < 1:
         raise InputError("levels must be >= 1")
@@ -206,12 +223,11 @@ def local_rotation_set_estimate(iso: PlanarIsotopy, center, r0: float,
         U = r0 / 2.0 ** k
         V = r0 / 2.0 ** (k + 2)
         t_grid = 256 * 2 ** k  # finer tracking for faster inner winding
-        for n_len in schedule:
-            for start, rho in rotation_samples(iso, center, U, V, n_len,
-                                               seeds=seeds, t_grid=t_grid):
-                all_samples.append((n_len, rho, start))
-                if k == deepest and n_len >= n_max / 4:
-                    deep_samples.append(rho)
+        for n_len, start, rho in _window_samples(
+                iso, center, U, V, schedule, seeds, t_grid, None):
+            all_samples.append((n_len, rho, start))
+            if k == deepest and n_len >= n_max / 4:
+                deep_samples.append(rho)
     annulus = (r0 / 2.0 ** deepest, r0 / 2.0 ** (deepest + 2))
     if not all_samples:
         return RotationSetEstimate(

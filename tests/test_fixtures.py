@@ -5,9 +5,11 @@ import pytest
 
 from torsionlab.errors import UnknownFixture
 from torsionlab.fixtures import (
-    PHI5_A, ex2_transverse_field, ex2_vector_field, ex4_lift, fixture_names,
-    load_fixture, phi4, phi5, phi5_integral, phi5_prime, run_fixture_claims,
+    PHI5_A, Ex5Field, ex2_transverse_field, ex2_vector_field, ex4_lift,
+    fixture_names, load_fixture, phi4, phi5, phi5_integral, phi5_prime,
+    run_fixture_claims,
 )
+from torsionlab.genfunc import GenIsotopy, find_critical_points
 
 
 def test_catalog_names():
@@ -83,9 +85,37 @@ def test_phi5_on_arrays_equals_phi5_on_floats():
     grids = [np.linspace(0.0, rng.uniform(0.05, 0.95), 20001) for _ in range(3)]
     grids += [np.linspace(-1.0, 2.0, 12001), np.array([0.0, 0.75, 1.0])]
     for ss in grids:
-        got = phi5(ss)
-        assert [v.hex() for v in got.tolist()] == \
-            [phi5(v).hex() for v in ss.tolist()]
+        for fn in (phi5, phi5_prime, phi5_integral):
+            assert [v.hex() for v in fn(ss).tolist()] == \
+                [fn(v).hex() for v in ss.tolist()], fn.__name__
+
+
+def test_ex5_terms_on_arrays_equal_floats(monkeypatch):
+    # every x and y lane the ex5 critical-point scan evaluates, term by term
+    lanes = {"_x_terms": [], "_y_terms": []}
+    for name, seen in lanes.items():
+        def record(v, terms=getattr(Ex5Field, name), seen=seen):
+            seen.append(v)
+            return terms(v)
+
+        monkeypatch.setattr(Ex5Field, name, staticmethod(record))
+    find_critical_points(GenIsotopy(Ex5Field(), twist_bound_c=0.11),
+                         (-0.6, 0.6, 0.05, 0.95), 400)
+    monkeypatch.undo()
+    for name, seen in lanes.items():
+        terms = getattr(Ex5Field, name)
+        vs = np.unique(np.concatenate([np.ravel(v) for v in seen]))
+        assert vs.size > 10000
+        for got, want in zip(terms(vs), zip(*map(terms, vs.tolist()))):
+            assert [v.hex() for v in got.tolist()] == \
+                [v.hex() for v in want], name
+
+
+def test_ex5_array_jet_raises_where_math_terms_do():
+    with pytest.raises(ValueError, match="math domain error"):
+        Ex5Field().jet2(np.array([0.1, math.inf]), np.array([0.5, 0.5]))
+    with pytest.raises(ValueError, match="math domain error"):
+        Ex5Field().jet2(np.array([0.1, 0.2]), np.array([0.5, 5e-324]))
 
 
 def test_phi4_pinned_constraints():

@@ -331,6 +331,26 @@ def test_circle_turns_evaluate_each_circle_point_once():
     assert len(seen) == 128
 
 
+def test_isotopy_index_reuses_the_circle_vectors():
+    # the index path's 64 samples are points of the 128-sample lift, so
+    # f_1 repeats only at the ends of the sweeps at s = 0 and s = 1/2 (the
+    # 129th point is the center check's); it was 197 calls at these points
+    o = (0.0, 0.0)
+    rot = rotation_isotopy(o, 2.0)
+    seen = {}
+
+    def ev(t, z):
+        if t == 1.0:
+            seen[z] = seen.get(z, 0) + 1
+        return rot.eval(t, z)
+
+    assert isotopy_index(PlanarIsotopy(eval=ev), o, 0.5, 64) == \
+        isotopy_index(rot, o, 0.5, 64)
+    ends = {circle_point(o, 0.5, 0.0), circle_point(o, 0.5, 0.5)}
+    assert {z: n for z, n in seen.items() if n > 1} == dict.fromkeys(ends, 2)
+    assert (len(seen), sum(seen.values())) == (129, 131)
+
+
 def outcome(fn):
     try:
         return fn()
@@ -342,7 +362,7 @@ def outcome(fn):
 def test_circle_turns_match_per_point_sweeps():
     n = 0
     for name, iso, center, r in continuation_corpus():
-        got = indices._circle_turns(iso, center, r, 64)
+        got, _ = indices._circle_turns(iso, center, r, 64)
         want = [trajectory_turns(iso, circle_point(center, r, i / 64), center)
                 for i in range(64)]
         assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-12, name
@@ -406,7 +426,7 @@ def test_circle_turns_guards_against_aliasing():
         want = [trajectory_turns(iso, circle_point(o, 0.5, i / 64), o)
                 for i in range(64)]
         try:
-            got = indices._circle_turns(iso, o, 0.5, 64)
+            got, _ = indices._circle_turns(iso, o, 0.5, 64)
         except RefinementExhausted:
             assert rise < 0.5 < fall and rise * 256 % 2 == 1
             continue

@@ -4,18 +4,22 @@ import math
 import numpy as np
 import pytest
 
+from torsionlab import rotation as rotation_mod
 from torsionlab.errors import (
-    IdentityCheckFailed, NotALift, NotOrientationPreserving,
+    IdentityCheckFailed, InputError, NotALift, NotOrientationPreserving,
 )
 from torsionlab.expr import ExprField
 from torsionlab.genfunc import GenIsotopy, alt_jacobian_path, jacobian_path
 from torsionlab.geom import (
     angle_sweep, build_winding_path, circle_rotation_number,
 )
-from torsionlab.indices import identity_isotopy, rotation_isotopy
+from torsionlab.indices import (
+    PlanarIsotopy, expr_isotopy, identity_isotopy, rotation_isotopy,
+    trajectory_turns,
+)
 from torsionlab.rotation import (
     CASE_COMPLEX, CASE_NEGATIVE_PAIR, CASE_OTHER, CASE_POSITIVE_SADDLE,
-    NOT_TORSION_LOW, TORSION_LOW, AnnulusLiftMap, compose_turn,
+    NOT_TORSION_LOW, TORSION_LOW, AnnulusLiftMap, _default_seeds, compose_turn,
     isotopy_blowup_rotation, linear_blowup_rotation,
     local_rotation_set_estimate, rotation_samples,
     torsion_low_classify, twist_check_and_search,
@@ -293,6 +297,182 @@ def test_rotation_set_estimate_empty_windows():
     assert est.samples == []
     assert est.lo is None and est.hi is None
     assert "no orbit" in est.diagnostics
+
+
+# --- one orbit per seed per level against the per-n schedule it replaced ------
+
+def reference_rotation_samples(iso, center, U_radius, V_radius, n, seeds=24,
+                               t_grid=256, seed_points=None):
+    """rotation_samples running every orbit from its start for this n."""
+    if not 0.0 < V_radius < U_radius:
+        raise InputError("need 0 < V_radius < U_radius")
+    if n < 1:
+        raise InputError("n must be >= 1")
+    cx, cy = float(center[0]), float(center[1])
+    pts = list(seed_points) if seed_points is not None else \
+        _default_seeds(center, V_radius, U_radius, seeds)
+
+    def orbit_sample(z0):
+        r0 = math.hypot(z0[0] - cx, z0[1] - cy)
+        if not V_radius < r0 < U_radius:
+            return None
+        z = z0
+        total = 0.0
+        for i in range(n):
+            total += trajectory_turns(iso, z, (cx, cy), n0=t_grid)
+            z = iso.eval(1.0, z)
+            r = math.hypot(z[0] - cx, z[1] - cy)
+            if r >= U_radius:
+                return None
+            if i == n - 1 and r <= V_radius:
+                return None
+        return (z0, total / n)
+
+    return [r for r in map(orbit_sample, pts) if r is not None]
+
+
+def reference_estimate(iso, center, r0, levels, n_max, threshold,
+                       seeds=24):
+    """local_rotation_set_estimate with one reference call per (level, n)."""
+    schedule = [2 ** j for j in range(n_max.bit_length())
+                if 2 ** j < n_max] + [n_max]
+    samples, deep = [], []
+    for k in range(levels):
+        for n in schedule:
+            for start, rho in reference_rotation_samples(
+                    iso, center, r0 / 2.0 ** k, r0 / 2.0 ** (k + 2), n,
+                    seeds=seeds, t_grid=256 * 2 ** k):
+                samples.append((n, rho, start))
+                if k == levels - 1 and n >= n_max / 4:
+                    deep.append(rho)
+    deep = deep or [rho for _, rho, _ in samples]
+    lo, hi = (min(deep), max(deep)) if deep else (None, None)
+    return (lo, hi, lo is not None and lo < -threshold,
+            hi is not None and hi > threshold, samples,
+            min((n for n, _, _ in samples), default=0))
+
+
+def hexed(samples):
+    return [(n, float.hex(rho), tuple(map(float.hex, start)))
+            for n, rho, start in samples]
+
+
+def halving_isotopy():
+    """f_t = (1 - t/2) id, so f = id/2."""
+    return PlanarIsotopy(eval=lambda t, z: ((1 - 0.5 * t) * z[0],
+                                            (1 - 0.5 * t) * z[1]))
+
+
+def saddle_isotopy():
+    """t -> exp(tL) for a hyperbolic L: seeds escape U or fall inside V."""
+    mu = math.sqrt(0.8 ** 2 + 0.5 * 0.3)
+
+    def ev(t, z):
+        C, S = math.cosh(mu * t), math.sinh(mu * t) / mu
+        return (C * z[0] + S * (0.8 * z[0] + 0.5 * z[1]),
+                C * z[1] + S * (0.3 * z[0] - 0.8 * z[1]))
+
+    return PlanarIsotopy(eval=ev, fixed_point_hint=(0.0, 0.0))
+
+
+def estimate_cases():
+    """(name, isotopy, r0, levels, n_max, seeds)."""
+    contraction = PlanarIsotopy(
+        eval=lambda t, z: ((1 - 0.9 * t) * z[0], (1 - 0.9 * t) * z[1]))
+    yield "ex3 n_max 4", ex3_isotopy(), 0.05, 2, 4, 12
+    yield "ex3 n_max 16", ex3_isotopy(), 0.05, 1, 16, 6
+    yield "J^2 n_max 16", rotation_isotopy((0.0, 0.0), 2.0), 0.5, 2, 16, 3
+    yield "J^0.3 3 levels", rotation_isotopy((0.0, 0.0), 0.3), 0.5, 3, 4, 3
+    yield "expression", expr_isotopy(
+        "cos(2*pi*t*(0.2+x^2+y^2))*x-sin(2*pi*t*(0.2+x^2+y^2))*y",
+        "sin(2*pi*t*(0.2+x^2+y^2))*x+cos(2*pi*t*(0.2+x^2+y^2))*y"), \
+        0.5, 2, 8, 2
+    yield "contraction", contraction, 1.0, 1, 8, 8
+    yield "saddle", saddle_isotopy(), 1.0, 2, 8, 12
+    yield "lands on V", halving_isotopy(), 1.0, 1, 4, 2
+
+
+def hexed(samples):
+    return [(n, float.hex(rho), tuple(map(float.hex, start)))
+            for n, rho, start in samples]
+
+
+def test_rotation_set_estimate_equals_per_n_reference():
+    hexf = lambda v: None if v is None else float.hex(v)
+    for name, iso, r0, levels, n_max, seeds in estimate_cases():
+        lo, hi, lo_unb, hi_unb, samples, n_min = reference_estimate(
+            iso, (0.0, 0.0), r0, levels, n_max, 10.0, seeds)
+        est = local_rotation_set_estimate(iso, (0.0, 0.0), r0, levels, n_max,
+                                          10.0, seeds=seeds)
+        assert hexed(est.samples) == hexed(samples), name
+        assert (hexf(est.lo), hexf(est.hi), est.lo_unbounded,
+                est.hi_unbounded, est.n_min_used) == \
+            (hexf(lo), hexf(hi), lo_unb, hi_unb, n_min), name
+    # f = id/2 takes the seed at radius 1/2 exactly onto the V-circle of
+    # radius 1/4: only the seed at radius 3/4 gives rho_1
+    est = local_rotation_set_estimate(halving_isotopy(), (0.0, 0.0), 1.0, 1,
+                                      4, 10.0, seeds=2)
+    assert [(n, z) for n, _, z in est.samples] == \
+        [(1, _default_seeds((0.0, 0.0), 0.25, 1.0, 2)[1])]
+    exact = [(0.5, 0.0), (0.0, 0.75), (2.0, 0.0), (0.25, 0.0)]
+    for n in (1, 3):
+        for name, iso, r0, _, _, seeds in estimate_cases():
+            for pts in (None, exact):
+                got = rotation_samples(iso, (0.0, 0.0), r0, r0 / 4, n,
+                                       seeds=seeds, seed_points=pts)
+                want = reference_rotation_samples(
+                    iso, (0.0, 0.0), r0, r0 / 4, n, seeds=seeds,
+                    seed_points=pts)
+                assert hexed([(n, r, z) for z, r in got]) == \
+                    hexed([(n, r, z) for z, r in want]), (name, n)
+
+
+def test_rotation_set_error_is_the_per_n_reference_error():
+    # seed 3 fails at its first step, met at n = 1; seed 0 fails at its
+    # third step, met at n = 4.  The per-n loop raises seed 3's error,
+    # although one run per seed meets seed 0's first
+    o = (0.0, 0.0)
+    rot = rotation_isotopy(o, 0.3)
+    seeds = _default_seeds(o, 0.125, 0.5, 6)
+    third = rot.eval(1.0, rot.eval(1.0, seeds[0]))
+    poison = {seeds[3]: "seed 3", third: "seed 0"}
+
+    def ev(t, z):
+        if tuple(z) in poison:
+            raise ValueError(f"{poison[tuple(z)]} fails at t = {t}")
+        return rot.eval(t, z)
+
+    iso = PlanarIsotopy(eval=ev)
+    with pytest.raises(ValueError) as want:
+        reference_estimate(iso, o, 0.5, 1, 8, 10.0, seeds=6)
+    with pytest.raises(ValueError) as got:
+        local_rotation_set_estimate(iso, o, 0.5, 1, 8, 10.0, seeds=6)
+    assert str(got.value) == str(want.value) == "seed 3 fails at t = 0.0"
+    with pytest.raises(ValueError, match="seed 0 fails"):
+        rotation_samples(iso, o, 0.5, 0.125, 4, seeds=6)
+    # the window checks stay: r0 <= 0 or NaN has no window, n must be >= 1
+    for r0 in (0.0, -0.5, math.nan):
+        with pytest.raises(InputError) as want:
+            reference_estimate(rot, o, r0, 1, 4, 10.0)
+        with pytest.raises(InputError) as got:
+            local_rotation_set_estimate(rot, o, r0, 1, 4, 10.0)
+        assert str(got.value) == str(want.value)
+    with pytest.raises(InputError, match="n must be >= 1"):
+        rotation_samples(rot, o, 0.5, 0.125, 0)
+
+
+def test_rotation_set_runs_each_orbit_once(monkeypatch):
+    # J^2 keeps every seed: 2 levels x 4 seeds x 16 steps, where one run
+    # per scheduled n made 1 + 2 + 4 + 8 + 16 = 31 steps per seed
+    calls = []
+    real = rotation_mod.trajectory_turns
+    monkeypatch.setattr(rotation_mod, "trajectory_turns",
+                        lambda *a, **kw: calls.append(a[1]) or real(*a, **kw))
+    o = (0.0, 0.0)
+    est = local_rotation_set_estimate(rotation_isotopy(o, 2.0), o, 0.5, 2,
+                                      16, 10.0, seeds=4)
+    assert len(est.samples) == 2 * 5 * 4
+    assert len(calls) == 2 * 4 * 16
 
 
 def test_torsion_examples():
