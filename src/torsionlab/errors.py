@@ -63,12 +63,20 @@ class OriginNotInCover(TorsionlabError):
 
 
 class SolverDiverged(TorsionlabError):
-    """Generating-function contraction failed; the twist bound is suspect."""
+    """The bracketed Newton solve of X - x = t d2g(X, y) failed.
+
+    It fails where F' = 1 - t d12g <= 0 at an iterate (the twist bound does
+    not hold there) or where the residual is not finite; it also stops when
+    the iterate no longer moves or solver_max_iter steps are spent.  The
+    twist bound is suspect in every case.
+    """
 
     def __init__(self, iterations: int, last_residual: float):
         super().__init__(
-            f"contraction did not reach tolerance after {iterations} iterations"
-            f" (last residual {last_residual:.3e})"
+            f"Newton solve for X stopped after {iterations} iterations"
+            f" (last residual {last_residual:.3e}): F' = 1 - t d12g <= 0,"
+            " a non-finite residual or no convergence; the twist bound is"
+            " suspect"
         )
         self.iterations = iterations
         self.last_residual = last_residual

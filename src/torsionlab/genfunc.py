@@ -121,28 +121,46 @@ def _grid_jets(field, xs, ys):
 
 def _solve_X(iso: GenIsotopy, t: float, x: float, y: float,
              history: list | None = None):
-    """Contraction X_{k+1} = x + t d2g(X_k, y); returns (X, jet at (X, y)).
+    """Root X of F(X) = X - x - t d2g(X, y); returns (X, jet at (X, y)).
 
-    The residual must reach solver_tol, or a few float spacings of X and x
-    where those exceed it (rounding alone keeps the residual there).
+    Newton steps guarded by a bracket (rtsafe, Press et al., Numerical
+    Recipes 9.4).  F' = 1 - t d12g comes from each jet; where d12g <= c it
+    is >= 1 - t c > 0, so the one root lies between x and
+    x - F(x)/(1 - t c), the first bracket.  A Newton step that stays inside
+    the bracket, endpoints included, is taken, any other is replaced by
+    bisection, and the sign of F at each iterate narrows the bracket.
+    SolverDiverged is raised where F' <= 0 at an iterate (the bound fails
+    there), where the residual is not finite, where the iterate stops
+    moving or after solver_max_iter steps.  The residual must reach
+    solver_tol, or a few float spacings of X and x where those exceed it
+    (rounding alone keeps the residual there).
     """
     X = x
-    jet = iso.field.jet2(X, y)
-    residual = abs(X - x - t * jet.fy)
-    if history is not None:
-        history.append(residual)
-    if residual <= _solver_tol(iso, X, x):
-        return X, jet
-    for k in range(1, iso.solver_max_iter + 1):
-        X = x + t * jet.fy
+    for k in range(iso.solver_max_iter + 1):
         jet = iso.field.jet2(X, y)
-        residual = abs(X - x - t * jet.fy)
+        F = X - x - t * jet.fy
+        residual = abs(F)
         if history is not None:
             history.append(residual)
         if not math.isfinite(residual):
             raise SolverDiverged(k, residual)
         if residual <= _solver_tol(iso, X, x):
             return X, jet
+        if k == 0:
+            lo, hi = sorted((x, x - F / (1.0 - t * iso.twist_bound_c)))
+        elif F > 0.0:
+            hi = X
+        else:
+            lo = X
+        slope = 1.0 - t * jet.fxy
+        if not slope > 0.0:
+            raise SolverDiverged(k, residual)
+        step = X - F / slope
+        if not lo <= step <= hi:
+            step = 0.5 * (lo + hi)
+        if step == X:
+            raise SolverDiverged(k, residual)
+        X = step
     raise SolverDiverged(iso.solver_max_iter, residual)
 
 
@@ -187,20 +205,30 @@ def gf_alt_apply(iso: GenIsotopy, t: float, z) -> tuple:
     if not 0.0 <= t <= 1.0:
         raise InputError("t must lie in [0, 1]")
     x, y = float(z[0]), float(z[1])
-    X, Y = gf_apply(iso, 1.0, z)
+    return _two_phase(t, x, y, *gf_apply(iso, 1.0, z))
+
+
+def _two_phase(t: float, x: float, y: float, X: float, Y: float) -> tuple:
+    """f'_t(x, y) from the time-one image (X, Y) = f_1(x, y)."""
     if t <= 0.5:
         return (x + 2.0 * t * (X - x), y)
     return (X, y + (2.0 * t - 1.0) * (Y - y))
 
 
 def alt_trajectory(iso: GenIsotopy, z, n_samples: int = 65) -> Polyline:
-    """Sampled two-phase trajectory t -> f'_t(z) (includes t = 1/2)."""
+    """Sampled two-phase trajectory t -> f'_t(z) (includes t = 1/2).
+
+    f_1(z) is solved once; every sample is the two-phase formula of
+    gf_alt_apply on it.
+    """
     if n_samples < 64:
         raise InputError("n_samples must be >= 64")
     ts = np.linspace(0.0, 1.0, n_samples)
     if 0.5 not in ts:
         ts = np.sort(np.append(ts, 0.5))
-    pts = np.array([gf_alt_apply(iso, t, z) for t in ts])
+    x, y = float(z[0]), float(z[1])
+    X, Y = gf_apply(iso, 1.0, z)
+    pts = np.array([_two_phase(t, x, y, X, Y) for t in ts.tolist()])
     return Polyline(params=ts, points=pts)
 
 

@@ -43,8 +43,8 @@ def report(num, name, ok, detail=""):
 
 def random_generating_field(rng, degree=3, fix_origin=False):
     """Random polynomial g with sampled twist bound < 0.9 on [-2.5, 2.5]^2
-    and |d2 g| <= 0.8 there, so contraction iterates from draws in
-    [-1.2, 1.2]^2 stay inside the certified box."""
+    and |d2 g| <= 0.8 there, so the roots X of draws in [-1.2, 1.2]^2
+    stay inside the certified box."""
     c_target = rng.uniform(0.1, 0.85)
     coeffs = rng.uniform(-1.0, 1.0, size=(degree + 1, degree + 1))
     for i in range(degree + 1):

@@ -127,6 +127,142 @@ def test_solver_diverges_when_bound_is_wrong():
         gf_apply(iso, 1.0, (0.5, 0.7))
 
 
+def test_solver_raises_on_a_non_finite_residual():
+    iso = make_iso("1e200*y*1e200", 0.5)  # d2g overflows to inf
+    with pytest.raises(SolverDiverged) as err:
+        gf_apply(iso, 1.0, (1.0, 0.0))
+    assert err.value.iterations == 0 and err.value.last_residual == math.inf
+
+
+def test_solver_stops_where_the_iterate_stops_moving():
+    # d2g jumps from 1 to -1 just above x = 0.1, so F changes sign there
+    # without a root: the bracket closes on 0.1 long before solver_max_iter
+    iso = make_iso("y*select(x < 0.1, 1, -1)", 0.5)
+    with pytest.raises(SolverDiverged) as err:
+        gf_apply(iso, 0.5, (0.1, 0.0))
+    assert err.value.iterations < iso.solver_max_iter
+    assert err.value.last_residual == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize("c", [0.5, -2.0])
+@pytest.mark.parametrize("t", [0.0, 0.25, 0.3, 0.5, 1.0])
+def test_negative_twist_solves_for_every_t(t, c):
+    # d12 g = -3 meets the one-sided bound, but |t d12 g| >= 1 from t = 1/3
+    # on, where the contraction X <- x + t d2g(X, y) cannot converge; with
+    # c = -2 a bracket of half-width |F|/(1 - c) would miss the root for
+    # t < 2/3, one of |F|/(1 - t c) holds it
+    iso = make_iso("-3*x*y", c)
+    assert verify_twist_bound(iso, (-1, 1, -1, 1)) == -3.0
+    X, Y = gf_apply(iso, t, (0.3, 0.2))
+    assert abs(X - 0.3 / (1.0 + 3.0 * t)) <= 4 * math.ulp(X)
+    assert Y == pytest.approx(0.2 + 0.6 * t, abs=1e-15)
+
+
+@pytest.mark.parametrize("t", [0.5, 1.0])
+@pytest.mark.parametrize("x", [30.0, -12.0, 0.3])
+def test_bracket_keeps_newton_from_cycling(t, x):
+    # d12 g = -50/(1+x^2)^1.5 <= 0; unguarded Newton from x = 30 at t = 1
+    # cycles between -19.99 and 79.32
+    iso = make_iso("-50*y*x/sqrt(1+x^2)", 0.5)
+    assert verify_twist_bound(iso, (-40, 40, -1, 1)) < 0.0
+    X, jet = _solve_X(iso, t, x, 1.0)
+    assert abs(X - x - t * jet.fy) <= _solver_tol(iso, X, x)
+
+
+def reference_contraction_solve(iso, t, x, y):
+    """The contraction X <- x + t d2g(X, y) that _solve_X replaces."""
+    X = x
+    jet = iso.field.jet2(X, y)
+    residual = abs(X - x - t * jet.fy)
+    if residual <= _solver_tol(iso, X, x):
+        return X, jet
+    for k in range(1, iso.solver_max_iter + 1):
+        X = x + t * jet.fy
+        jet = iso.field.jet2(X, y)
+        residual = abs(X - x - t * jet.fy)
+        if not math.isfinite(residual):
+            raise SolverDiverged(k, residual)
+        if residual <= _solver_tol(iso, X, x):
+            return X, jet
+    raise SolverDiverged(iso.solver_max_iter, residual)
+
+
+def jet_hex(jet):
+    return [float(v).hex() for v in
+            (jet.f, jet.fx, jet.fy, jet.fxx, jet.fxy, jet.fyy)]
+
+
+@pytest.mark.parametrize("text, c", [("x^2+y^2", 0.1), ("y^2/2", 0.0),
+                                     ("0", 0.0)])
+def test_solve_equals_contraction_where_d12g_vanishes(text, c):
+    # F' = 1 exactly, so the first Newton step x - (0 - t d2g)/1.0 is the
+    # contraction step x + t d2g; y^2/2 with c = 0 lands on the bracket edge
+    iso = make_iso(text, c)
+    rng = np.random.default_rng(17)
+    points = [(1.0, 1.0, 0.0), (1.0, 1.7, -0.4), (0.5, 1e4, -3e3)]
+    points += [(rng.uniform(0.0, 1.0), *rng.uniform(-5.0, 5.0, size=2))
+               for _ in range(200)]
+    for t, x, y in points:
+        got, got_jet = _solve_X(iso, t, x, y)
+        want, want_jet = reference_contraction_solve(iso, t, x, y)
+        assert got.hex() == want.hex()
+        assert jet_hex(got_jet) == jet_hex(want_jet)
+
+
+def test_solve_agrees_with_contraction_on_random_fields():
+    # both roots have residual <= tol and F' >= 1 - t c between them
+    rng = np.random.default_rng(22)
+    compared = 0
+    for _ in range(40):
+        field, _ = random_generating_field(rng)
+        iso = GenIsotopy(field, twist_bound_c=0.9)
+        for _ in range(10):
+            t = rng.uniform(0.05, 1.0)
+            x, y = rng.uniform(-1.0, 1.0, size=2)
+            try:
+                want, _ = reference_contraction_solve(iso, t, x, y)
+            except SolverDiverged:
+                continue
+            got, _ = _solve_X(iso, t, x, y)
+            tol = max(_solver_tol(iso, got, x), _solver_tol(iso, want, x))
+            assert abs(got - want) <= 2.0 * tol / (1.0 - t * 0.9)
+            compared += 1
+    assert compared >= 300
+
+
+class CountingField:
+    """A scalar field that counts its jet2 calls."""
+
+    def __init__(self, field):
+        self.field, self.calls = field, 0
+
+    def jet2(self, x, y):
+        self.calls += 1
+        return self.field.jet2(x, y)
+
+
+@pytest.mark.parametrize("n_samples", [64, 257])
+def test_alt_trajectory_solves_f1_once(n_samples):
+    rng = np.random.default_rng(8)
+    cases = [("x^2+y^2", 0.1, (1.0, 0.0)), ("-3*x*y", 0.5, (0.3, 0.2))]
+    for text, region, _ in lattice_fields(np.random.default_rng(3)):
+        cases.append((text, 0.5, (rng.uniform(*region[:2]),
+                                  rng.uniform(*region[2:]))))
+    for text, c, z in cases:
+        field = CountingField(ExprField(text))
+        iso = GenIsotopy(field, twist_bound_c=c)
+        gf_apply(iso, 1.0, z)
+        per_solve, field.calls = field.calls, 0
+        path = alt_trajectory(iso, z, n_samples)
+        assert field.calls == per_solve
+        field.calls = 0
+        want = [gf_alt_apply(iso, t, z) for t in path.params]
+        assert field.calls == len(path.params) * per_solve
+        assert len(path.params) == max(n_samples, 65)
+        assert ([[v.hex() for v in p] for p in path.points.tolist()]
+                == [[float(v).hex() for v in p] for p in want])
+
+
 def test_twist_bound_verification():
     iso = make_iso("x^2+y^2", 0.1)  # d12 g = 0 everywhere
     assert verify_twist_bound(iso, (-2, 2, -2, 2)) == 0.0
